@@ -525,6 +525,11 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> {
     // The read timeout bounds how long an idle connection can delay a
     // drain; LineReader keeps partial lines across timeouts.
     stream.set_read_timeout(Some(READ_POLL))?;
+    // Each reply is one small write. Behind Nagle's algorithm, a reply
+    // sent while the previous one is unacknowledged waits for that ACK,
+    // which a pipelining client that delays its ACKs sends only with its
+    // next request: every reply would then lag one request behind.
+    stream.set_nodelay(true)?;
     let mut writer = BufWriter::new(stream.try_clone()?);
     let mut reader = LineReader::new(BufReader::new(stream), crate::protocol::MAX_LINE_BYTES);
     let mut line: Vec<u8> = Vec::with_capacity(256);

@@ -10,6 +10,7 @@ use graphstream::{CycleSource, Edge, EdgeSource, EdgeStreamError};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 fn fixture(n: u64) -> Vec<Edge> {
     (0..n)
@@ -160,8 +161,32 @@ fn source_error_is_reported_not_fatal() {
         },
     )
     .expect("spawn");
-    // The daemon keeps serving queries after the stream dies; shut it
-    // down programmatically and check the error surfaced in the report.
+    // The daemon keeps serving queries after the stream dies. Wait until a
+    // writer has polled the failing source (writers check the shutdown flag
+    // first, so an early shutdown would never reach the source), then shut
+    // it down programmatically and check the error surfaced in the report.
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        writer.write_all(b"STATS\n").expect("send");
+        let mut stats = String::new();
+        reader.read_line(&mut stats).expect("reply");
+        let errors: u64 = stats
+            .split_whitespace()
+            .find_map(|kv| kv.strip_prefix("errors="))
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("STATS without errors=: {stats}"));
+        if errors >= 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no writer reported the source error: {stats}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
     handle.shutdown();
     let report = handle.join().expect("join");
     assert!(!report.writer_panicked);

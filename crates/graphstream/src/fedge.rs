@@ -1,7 +1,8 @@
 //! `fedge` — the freesketch binary edge format.
 //!
-//! Multi-GB traces parsed from TSV over and over waste most of their ingest
-//! time in `split_whitespace` and string hashing. `fedge` stores the edge
+//! Multi-GB traces replayed from TSV over and over spend most of their
+//! ingest time decoding text: even decoded in place, every edge costs a
+//! scan for its two tokens and an xxhash64 of each. `fedge` stores the edge
 //! stream post-hash: an 8-byte header (magic `FEDG`, version `u16`,
 //! reserved `u16`) followed by fixed 16-byte little-endian records
 //! `(user: u64, item: u64)` in arrival order. Fixed records make the format

@@ -6,11 +6,30 @@
 //! xxhash64 under a fixed seed, so the same file always produces the same
 //! edge stream across runs and machines. [`TsvEdgeSource`] implements
 //! [`EdgeSource`], yielding chunk-at-a-time in bounded memory.
+//!
+//! [`parse_edge_line`] defines the format. [`TsvEdgeSource`] decodes in
+//! place, inside the reader's own buffer (`fill_buf`/`consume`), so a
+//! well-formed line costs no copy and no UTF-8 pass:
+//!
+//! * **Fast path.** A complete line of plain ASCII — a first token, ASCII
+//!   whitespace, a second token, then `\n` or ASCII whitespace and any
+//!   ASCII — is tokenized where it lies, 8 bytes at a time (a token ends at
+//!   the first byte `≤ 0x20` or `≥ 0x80`), and both tokens are hashed from
+//!   the buffer. Only a line that crosses a buffer boundary is first
+//!   gathered into one reused carry buffer.
+//! * **Exact fallback.** Every other line — a byte `≥ 0x80` (non-ASCII
+//!   text, Unicode whitespace, invalid UTF-8), a control byte ending a
+//!   token, leading whitespace, a `#` comment, a blank line, fewer than two
+//!   fields — is validated as UTF-8 and parsed by [`parse_edge_line`].
+//!
+//! Both paths give the same edges, line numbers and errors as reading each
+//! line with `BufRead::read_line` and calling [`parse_edge_line`] on it
+//! (`crates/graphstream/tests/tsv_decode.rs` checks this differentially).
 
 use crate::source::{EdgeSource, EdgeStreamError};
 use crate::Edge;
 use hashkit::xxhash64;
-use std::io::BufRead;
+use std::io::{BufRead, ErrorKind};
 
 /// Seed for hashing string identifiers to `u64`. Fixed forever: changing
 /// it would silently disconnect TSV traces from their `fedge` re-encodes.
@@ -57,12 +76,154 @@ pub fn parse_edge_line(line: &str, line_no: usize) -> Result<Option<Edge>, EdgeS
     Ok(Some(Edge::new(hash_id(user), hash_id(item))))
 }
 
-/// Streaming TSV reader: one reused line buffer, edges yielded
-/// chunk-at-a-time through [`EdgeSource`].
+/// `0x01` in every byte of a word.
+const LO: u64 = u64::from_le_bytes([0x01; 8]);
+/// `0x80` in every byte of a word.
+const HI: u64 = u64::from_le_bytes([0x80; 8]);
+
+/// The 8 bytes at `i` as a little-endian word, so byte `i` is the lowest.
+#[inline]
+fn word(bytes: &[u8], i: usize) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&bytes[i..i + 8]);
+    u64::from_le_bytes(w)
+}
+
+/// The byte index of the lowest flagged byte in a SWAR mask.
+#[inline]
+fn lowest(hit: u64) -> usize {
+    (hit.trailing_zeros() / 8) as usize
+}
+
+/// Index of the first byte at or after `i` that is `≤ 0x20` or `≥ 0x80`,
+/// or `bytes.len()`: where an ASCII token ends.
+#[inline]
+fn token_end(bytes: &[u8], mut i: usize) -> usize {
+    while i + 8 <= bytes.len() {
+        let w = word(bytes, i);
+        // A byte below 0x21 borrows into its top bit, a byte of 0x80 or
+        // more has it set. Borrows only run upward, so the lowest flagged
+        // byte is exact.
+        let hit = (w.wrapping_sub(0x21 * LO) | w) & HI;
+        if hit != 0 {
+            return i + lowest(hit);
+        }
+        i += 8;
+    }
+    while i < bytes.len() && (0x21..0x80).contains(&bytes[i]) {
+        i += 1;
+    }
+    i
+}
+
+/// Index of the first `\n` or byte `≥ 0x80` at or after `i`, or
+/// `bytes.len()`.
+#[inline]
+fn newline_or_high(bytes: &[u8], mut i: usize) -> usize {
+    while i + 8 <= bytes.len() {
+        let w = word(bytes, i);
+        let x = w ^ (u64::from(b'\n') * LO);
+        // Zero bytes of `x` are newlines; the lowest flag is exact as above.
+        let hit = ((x.wrapping_sub(LO) & !x) | w) & HI;
+        if hit != 0 {
+            return i + lowest(hit);
+        }
+        i += 8;
+    }
+    while i < bytes.len() && bytes[i] != b'\n' && bytes[i] < 0x80 {
+        i += 1;
+    }
+    i
+}
+
+/// ASCII whitespace inside a line: the bytes below 0x80 that
+/// `char::is_whitespace` accepts, except `\n`.
+#[inline]
+fn is_separator(b: u8) -> bool {
+    matches!(b, b'\t' | 0x0B | 0x0C | b'\r' | b' ')
+}
+
+/// The fast path for the line at the start of `bytes`: the edge and the
+/// line's length with its `\n`. `None` when the line needs the exact
+/// path, or when its `\n` may lie beyond `bytes`.
+#[inline]
+fn fast_edge(bytes: &[u8]) -> Option<(Edge, usize)> {
+    let first = *bytes.first()?;
+    // Leading whitespace, a blank line, a control byte, non-ASCII, `#`.
+    if first <= b' ' || first >= 0x80 || first == b'#' {
+        return None;
+    }
+    let user_end = token_end(bytes, 1);
+    let mut item_start = user_end;
+    while item_start < bytes.len() && is_separator(bytes[item_start]) {
+        item_start += 1;
+    }
+    // No separator, or the second token does not start with plain ASCII
+    // (this also catches a first token that ended at `\n`, a control byte
+    // or non-ASCII).
+    let first = *bytes.get(item_start)?;
+    if first <= b' ' || first >= 0x80 {
+        return None;
+    }
+    let item_end = token_end(bytes, item_start + 1);
+    let newline = match *bytes.get(item_end)? {
+        b'\n' => item_end,
+        b if is_separator(b) => {
+            // Extra fields are ignored, but must be ASCII to be valid UTF-8.
+            let n = newline_or_high(bytes, item_end + 1);
+            if *bytes.get(n)? != b'\n' {
+                return None;
+            }
+            n
+        }
+        _ => return None,
+    };
+    let user = xxhash64(ID_SEED, &bytes[..user_end]);
+    let item = xxhash64(ID_SEED, &bytes[item_start..item_end]);
+    Some((Edge::new(user, item), newline + 1))
+}
+
+/// Decodes the line at the start of `bytes`, pushing its edge (if any) to
+/// `out`. Returns the bytes the line took with its `\n`, or `None` when
+/// `bytes` holds no `\n`: the line goes on past them.
+///
+/// # Errors
+/// The error `read_line` gives for invalid UTF-8 (`line_no` is then not
+/// advanced, as `read_line` failing never counted a line), or the
+/// [`EdgeStreamError::Malformed`] of [`parse_edge_line`].
+#[inline]
+fn decode_line(
+    bytes: &[u8],
+    out: &mut Vec<Edge>,
+    line_no: &mut usize,
+) -> Result<Option<usize>, EdgeStreamError> {
+    if let Some((edge, len)) = fast_edge(bytes) {
+        *line_no += 1;
+        out.push(edge);
+        return Ok(Some(len));
+    }
+    let Some(n) = bytes.iter().position(|&b| b == b'\n') else {
+        return Ok(None);
+    };
+    let line = std::str::from_utf8(&bytes[..n]).map_err(|_| {
+        std::io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+    })?;
+    *line_no += 1;
+    if let Some(edge) = parse_edge_line(line, *line_no)? {
+        out.push(edge);
+    }
+    Ok(Some(n + 1))
+}
+
+/// Streaming TSV reader: lines decoded in place in the reader's buffer,
+/// edges yielded chunk-at-a-time through [`EdgeSource`].
 #[derive(Debug)]
 pub struct TsvEdgeSource<R: BufRead> {
     reader: R,
-    line: String,
+    /// The start of a line that crossed the end of the reader's buffer.
+    /// Cleared after each such line, never dropped, so it only grows to
+    /// the longest line.
+    carry: Vec<u8>,
     line_no: usize,
 }
 
@@ -71,7 +232,7 @@ impl<R: BufRead> TsvEdgeSource<R> {
     pub fn new(reader: R) -> Self {
         Self {
             reader,
-            line: String::new(),
+            carry: Vec::new(),
             line_no: 0,
         }
     }
@@ -84,18 +245,50 @@ impl<R: BufRead> TsvEdgeSource<R> {
 }
 
 impl<R: BufRead> EdgeSource for TsvEdgeSource<R> {
+    // HOT: steady-state TSV decode — keep allocation-free (hot-path-hygiene root).
     fn next_chunk(&mut self, buf: &mut Vec<Edge>, max: usize) -> Result<usize, EdgeStreamError> {
         buf.clear();
         let max = max.max(1);
         while buf.len() < max {
-            self.line.clear();
-            if self.reader.read_line(&mut self.line)? == 0 {
-                break;
+            let avail = match self.reader.fill_buf() {
+                Ok(avail) => avail,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            };
+            if avail.is_empty() {
+                if self.carry.is_empty() {
+                    break;
+                }
+                // The last line ends at EOF; with a `\n` it parses the same.
+                self.carry.push(b'\n');
+            } else if !self.carry.is_empty() {
+                // Complete the line that crossed the previous buffer's end.
+                let take = avail
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(avail.len(), |n| n + 1);
+                self.carry.extend_from_slice(&avail[..take]);
+                self.reader.consume(take);
+                if self.carry.last() != Some(&b'\n') {
+                    continue;
+                }
+            } else {
+                // Every complete line in place; a partial last one is carried.
+                let mut pos = 0;
+                while buf.len() < max && pos < avail.len() {
+                    match decode_line(&avail[pos..], buf, &mut self.line_no)? {
+                        Some(len) => pos += len,
+                        None => {
+                            self.carry.extend_from_slice(&avail[pos..]);
+                            pos = avail.len();
+                        }
+                    }
+                }
+                self.reader.consume(pos);
+                continue;
             }
-            self.line_no += 1;
-            if let Some(edge) = parse_edge_line(&self.line, self.line_no)? {
-                buf.push(edge);
-            }
+            decode_line(&self.carry, buf, &mut self.line_no)?;
+            self.carry.clear();
         }
         Ok(buf.len())
     }

@@ -10,6 +10,9 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> perfbench tests (the benchmark's own unit tests; its own package)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -50,6 +53,21 @@ echo "==> convert -> estimate roundtrip smoke (TSV and fedge must be identical)"
 ./target/release/freesketch estimate "$tmp/edges.fedge" --top 3 > "$tmp/est-fedge.txt"
 diff -u "$tmp/est-tsv.txt" "$tmp/est-fedge.txt" || {
   echo "fedge estimate differs from TSV estimate"; exit 1;
+}
+
+echo "==> TSV edge-case smoke (CRLF, tabs, space runs, leading blanks, comments, U+00A0, no final newline)"
+# The in-place decoder's fast path and its exact fallback must read the
+# same edges as the plain file: the two reports must be identical.
+printf '# messy\r\nalice\ta\r\n  alice   b\n\tbob \t a  \n\n  # indented comment\nalice\xc2\xa0c\r\ncarol d' \
+  > "$tmp/messy.tsv"
+printf 'alice a\nalice b\nbob a\nalice c\ncarol d\n' > "$tmp/plain.tsv"
+./target/release/freesketch estimate "$tmp/messy.tsv" --top 3 > "$tmp/est-messy.txt"
+./target/release/freesketch estimate "$tmp/plain.tsv" --top 3 > "$tmp/est-plain.txt"
+diff -u "$tmp/est-plain.txt" "$tmp/est-messy.txt" || {
+  echo "edge-case TSV estimate differs from the plain TSV estimate"; exit 1;
+}
+grep -q "5 edges" "$tmp/est-messy.txt" || {
+  echo "edge-case TSV lost edges:"; cat "$tmp/est-messy.txt"; exit 1;
 }
 
 echo "==> streaming-estimate smoke (multi-chunk file, bounded reader buffer)"

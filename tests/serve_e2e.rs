@@ -13,7 +13,7 @@ use freesketch::{CardinalityEstimator, ShardedFreeBS};
 use freesketch_cli::serve::{spawn, ServeConfig};
 use graphstream::{CycleSource, Edge};
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -65,6 +65,63 @@ fn temp_path(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("freesketch-e2e-{}-{tag}", std::process::id()));
     p
+}
+
+/// 50 pipelined `ESTIMATE`s on one connection answer in order, and no
+/// reply waits for the next request. The first two requests go out in one
+/// write and the rest 5 ms apart. Once a connection has turned interactive
+/// (the warm-up) Linux delays the client's ACKs, so behind Nagle's
+/// algorithm each reply would leave only when the next request carried the
+/// ACK of the previous one, one interval late.
+fn pipelined_estimates_do_not_lag(addr: SocketAddr) {
+    const N: usize = 50;
+    const INTERVAL: Duration = Duration::from_millis(5);
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("client nodelay");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let request = |i: usize| format!("ESTIMATE #{:x}\n", i % 7);
+    let mut want = Vec::new();
+    for i in 0..100 {
+        writer.write_all(request(i).as_bytes()).expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        if i < 7 {
+            want.push(reply);
+        }
+    }
+    let sender = std::thread::spawn(move || {
+        let start = Instant::now();
+        writer
+            .write_all(format!("{}{}", request(0), request(1)).as_bytes())
+            .expect("send");
+        let mut sent = vec![start, start];
+        for i in 2..N {
+            std::thread::sleep(INTERVAL);
+            sent.push(Instant::now());
+            writer.write_all(request(i).as_bytes()).expect("send");
+        }
+        sent
+    });
+    let mut received = Vec::with_capacity(N);
+    for i in 0..N {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        received.push(Instant::now());
+        assert_eq!(reply, want[i % 7], "reply {i} out of order");
+    }
+    let sent = sender.join().expect("sender");
+    let mut lag: Vec<Duration> = sent
+        .iter()
+        .zip(&received)
+        .map(|(s, r)| r.duration_since(*s))
+        .collect();
+    lag.sort();
+    assert!(
+        lag[N / 2] < INTERVAL / 2,
+        "replies wait for the next request: median {:?}, all {lag:?}",
+        lag[N / 2]
+    );
 }
 
 #[test]
@@ -131,6 +188,8 @@ fn serve_round_trip_restores_bit_identical_state() {
             "user {u}: served {est} vs offline {want}"
         );
     }
+
+    pipelined_estimates_do_not_lag(addr);
 
     // TOPK returns the heaviest users in offline order.
     let topk = request("TOPK 3");
