@@ -262,8 +262,8 @@ impl Drop for PanicGuard<'_> {
 /// Starts the daemon: binds `127.0.0.1:<port>`, spawns the writer
 /// threads and the accept loop, and returns immediately with a handle.
 ///
-/// The sketch must be a sharded kind ([`AnySketch::as_concurrent`]); call
-/// `configure_ingest` before handing it over (spawn takes it by value).
+/// The sketch must be a sharded kind ([`AnySketch::as_concurrent`]);
+/// spawn takes it by value.
 ///
 /// # Errors
 /// [`ServeError::NotConcurrent`] for scalar sketch kinds;

@@ -170,7 +170,8 @@ pub fn stream_into_parallel_hooked<E: From<EdgeStreamError>>(
 /// Stops at the first source error.
 pub fn skip_edges(src: &mut dyn EdgeSource, n: u64, chunk: usize) -> Result<u64, EdgeStreamError> {
     let chunk = chunk.max(1);
-    let mut buf: Vec<Edge> = Vec::with_capacity(chunk);
+    // Sized to what is skipped: a cold start (n = 0) allocates nothing.
+    let mut buf: Vec<Edge> = Vec::with_capacity(usize::try_from(n).map_or(chunk, |n| n.min(chunk)));
     let mut skipped = 0u64;
     while skipped < n {
         let want = usize::try_from((n - skipped).min(chunk as u64)).unwrap_or(chunk);

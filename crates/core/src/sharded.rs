@@ -23,7 +23,7 @@ use crate::concurrent::{
     ConcurrentEngine, ConcurrentEstimator, ConcurrentFreeBS, ConcurrentFreeRS, SharedQTracker,
     SharedZ, SharedZeroQ,
 };
-use crate::{CardinalityEstimator, IngestTuning};
+use crate::CardinalityEstimator;
 use bitpack::{AtomicBitArray, AtomicPackedArray, ConcurrentSlotStore};
 use hashkit::{mix64, CounterMap, EdgeHasher};
 
@@ -221,13 +221,6 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> CardinalityEstimator for Shar
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
     fn process_batch(&mut self, edges: &[(u64, u64)]) {
         ShardedSketch::process_batch(self, edges);
-    }
-
-    fn configure_ingest(&mut self, tuning: IngestTuning) {
-        // Shards ingest disjoint sub-batches; they all share one tuning.
-        for shard in &mut self.shards {
-            shard.configure_ingest(tuning);
-        }
     }
 
     #[inline]

@@ -23,9 +23,10 @@
 //! or truncated bytes must never panic and never produce a silently-wrong
 //! estimator.
 
-use crate::concurrent::ConcurrentEstimator;
+use crate::concurrent::{ConcurrentEngine, ConcurrentEstimator, SharedQTracker};
 use crate::ingest::{ingest_slice, IngestError};
-use crate::{CardinalityEstimator, FreeBS, FreeRS, ShardedFreeBS, ShardedFreeRS};
+use crate::{CardinalityEstimator, FreeBS, FreeRS, ShardedFreeBS, ShardedFreeRS, ShardedSketch};
+use bitpack::ConcurrentSlotStore;
 use graphstream::snapshot::{
     decode_value, encode_value, find_section, read_sections, write_sections,
 };
@@ -237,10 +238,22 @@ impl AnySketch {
     }
 
     /// The current sampling probability `q(t)` (minimum across shards for
-    /// the sharded kinds) — the input to anytime confidence intervals.
+    /// the sharded kinds) — the input to anytime confidence intervals,
+    /// which assume the most conservative `q` any credited edge saw.
     #[must_use]
     pub fn sampling_q(&self) -> f64 {
-        dispatch!(self, e => e.q())
+        fn min_q<S: ConcurrentSlotStore, Q: SharedQTracker<S>>(s: &ShardedSketch<S, Q>) -> f64 {
+            s.shards()
+                .iter()
+                .map(ConcurrentEngine::q)
+                .fold(f64::INFINITY, f64::min)
+        }
+        match self {
+            Self::FreeBS(e) => e.q(),
+            Self::FreeRS(e) => e.q(),
+            Self::ShardedFreeBS(s) => min_q(s),
+            Self::ShardedFreeRS(s) => min_q(s),
+        }
     }
 
     /// Drives `src` to exhaustion, checkpointing through `ckpt` at chunk
@@ -322,10 +335,6 @@ impl CardinalityEstimator for AnySketch {
 
     fn process_batch(&mut self, edges: &[(u64, u64)]) {
         dispatch!(self, e => e.process_batch(edges));
-    }
-
-    fn configure_ingest(&mut self, tuning: crate::IngestTuning) {
-        dispatch!(self, e => e.configure_ingest(tuning));
     }
 
     #[inline]
@@ -928,5 +937,95 @@ mod tests {
             matches!(&err, SnapshotError::Malformed { detail } if detail.contains("freeqs")),
             "{err}"
         );
+    }
+
+    /// The `tuning` entry every engine's CONF carried before the ingest
+    /// tuning was removed: a runtime block depth and warm distance.
+    fn legacy_tuning() -> serde::Value {
+        serde::Value::Map(vec![
+            ("block".to_string(), serde::Value::U64(100)),
+            ("warm_ahead".to_string(), serde::Value::U64(2)),
+        ])
+    }
+
+    #[test]
+    fn snapshots_with_a_legacy_tuning_entry_still_load() {
+        for mut sketch in all_kinds() {
+            ingest(&mut sketch, &edges(3_000, 5));
+            let bytes = snapshot_bytes(&sketch, 3_000);
+            let sections = read_sections(&mut bytes.as_slice()).expect("sections");
+            let serde::Value::Map(mut conf) =
+                decode_value(find_section(&sections, &TAG_CONF).expect("CONF"))
+                    .expect("decode CONF")
+            else {
+                panic!("CONF is a map");
+            };
+            // Scalar engines carried it at the top level, sharded ones in
+            // every shard's map.
+            if let Some((_, serde::Value::Seq(shards))) =
+                conf.iter_mut().find(|(k, _)| k == "shards")
+            {
+                for shard in shards {
+                    if let serde::Value::Map(m) = shard {
+                        m.push(("tuning".to_string(), legacy_tuning()));
+                    }
+                }
+            } else {
+                conf.push(("tuning".to_string(), legacy_tuning()));
+            }
+            let conf_b = encode_value(&serde::Value::Map(conf));
+            let rebuilt: Vec<([u8; 4], &[u8])> = sections
+                .iter()
+                .map(|(tag, payload)| {
+                    if *tag == TAG_CONF {
+                        (*tag, conf_b.as_slice())
+                    } else {
+                        (*tag, payload.as_slice())
+                    }
+                })
+                .collect();
+            let mut legacy = Vec::new();
+            write_sections(&mut legacy, &rebuilt).expect("rewrite");
+            assert_ne!(legacy, bytes, "{}: the entry was injected", sketch.kind());
+
+            let (restored, offset) =
+                load_snapshot(&mut legacy.as_slice()).expect("legacy snapshot loads");
+            assert_eq!(offset, 3_000);
+            assert_eq!(restored.kind(), sketch.kind());
+            for u in 0..23u64 {
+                assert_eq!(restored.estimate(u), sketch.estimate(u), "user {u}");
+            }
+            assert_eq!(restored.total_estimate(), sketch.total_estimate());
+            assert_eq!(restored.sampling_q(), sketch.sampling_q());
+            assert_eq!(
+                dispatch!(&restored, e => e.q()),
+                dispatch!(&sketch, e => e.q()),
+                "{}",
+                sketch.kind()
+            );
+        }
+    }
+
+    #[test]
+    fn sharded_sampling_q_is_the_minimum_shard_q() {
+        let mut sketch = AnySketch::ShardedFreeBS(ShardedFreeBS::new(1 << 10, 2, 3));
+        // Fill the shards unevenly so their q values differ.
+        ingest(&mut sketch, &edges(600, 6));
+        let AnySketch::ShardedFreeBS(s) = &sketch else {
+            unreachable!()
+        };
+        let shard_q: Vec<f64> = s.shards().iter().map(ConcurrentEngine::q).collect();
+        assert_eq!(shard_q.len(), 2);
+        assert_ne!(shard_q[0], shard_q[1], "shards should differ");
+        assert_eq!(sketch.sampling_q(), shard_q[0].min(shard_q[1]));
+        assert!(sketch.sampling_q() < s.q(), "minimum sits below the mean");
+
+        // One shard: the minimum is that shard's own q.
+        let mut one = AnySketch::ShardedFreeRS(ShardedFreeRS::new(1 << 10, 1, 3));
+        ingest(&mut one, &edges(600, 6));
+        let AnySketch::ShardedFreeRS(s) = &one else {
+            unreachable!()
+        };
+        assert_eq!(one.sampling_q(), s.shards()[0].q());
     }
 }

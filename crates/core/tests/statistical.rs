@@ -106,6 +106,98 @@ fn freers_unbiased_and_variance_bounded() {
     );
 }
 
+/// The probe user (1) with `n_probe` items and a background user (2) with
+/// `n_bg` items, interleaved — the stream of the scalar checks above, as
+/// one slice for the batch path.
+fn two_user_stream(n_probe: u64, n_bg: u64) -> Vec<(u64, u64)> {
+    let mut edges = Vec::with_capacity((n_probe + n_bg) as usize);
+    for i in 0..n_probe.max(n_bg) {
+        if i < n_probe {
+            edges.push((1, i));
+        }
+        if i < n_bg {
+            edges.push((2, i.wrapping_mul(0x9E37_79B9) ^ 0xF00D));
+        }
+    }
+    edges
+}
+
+/// Runs `trial(t)` for `t` in `seeds`, split over two threads; each trial
+/// is independent, so the samples do not depend on the split.
+fn batch_trials(seeds: std::ops::Range<u64>, trial: fn(u64) -> (f64, f64)) -> Vec<(f64, f64)> {
+    let seeds: Vec<u64> = seeds.collect();
+    let (a, b) = seeds.split_at(seeds.len() / 2);
+    std::thread::scope(|s| {
+        let first = s.spawn(|| a.iter().map(|&t| trial(t)).collect::<Vec<_>>());
+        let mut out: Vec<(f64, f64)> = b.iter().map(|&t| trial(t)).collect();
+        let mut head = first.join().expect("trial thread");
+        head.append(&mut out);
+        head
+    })
+}
+
+/// Theorem 1/2 checks for the batch path. `samples` pairs each trial's
+/// probe estimate with the `q` numerator at its end (`m₀` resp. `Z`).
+/// Batch ingest freezes `q` for each [`freesketch::INGEST_BLOCK`]-edge
+/// block, which lowers an estimate by a relative factor of at most
+/// `INGEST_BLOCK / numerator`; the bias allowance adds that drift to the
+/// scalar check's `4·SE + 1`, and the geometry keeps it at ≤ 1 % of `n`.
+fn assert_batch_theorem(samples: &[(f64, f64)], n_probe: u64, bound: f64, theorem: &str) {
+    let estimates: Vec<f64> = samples.iter().map(|s| s.0).collect();
+    let (mean, var) = moments(&estimates);
+    let numerator_end = samples.iter().map(|s| s.1).fold(f64::INFINITY, f64::min);
+    let n = n_probe as f64;
+    let drift = n * freesketch::INGEST_BLOCK as f64 / numerator_end;
+    assert!(
+        drift <= 0.01 * n,
+        "drift allowance {drift:.1} is over 1% of n = {n}: grow M"
+    );
+    let se = (var / samples.len() as f64).sqrt();
+    assert!(
+        (mean - n).abs() < 4.0 * se + 1.0 + drift,
+        "{theorem}, batch path: mean {mean} vs {n} (se {se:.2}, drift {drift:.2})"
+    );
+    assert!(
+        var < bound * 1.35,
+        "{theorem}, batch path: measured var {var:.1} exceeds bound {bound:.1}"
+    );
+}
+
+#[test]
+fn freebs_batch_path_unbiased_and_variance_bounded() {
+    // Theorem 1 through `process_batch`, the path every driver takes. M is
+    // large enough that m₀ stays above 100 · INGEST_BLOCK.
+    const M_BITS: usize = 1 << 16;
+    const N_PROBE: u64 = 5_000;
+    const N_BG: u64 = 10_000;
+    let samples = batch_trials(2000..2400, |t| {
+        let mut f = FreeBS::new(M_BITS, t);
+        f.process_batch(&two_user_stream(N_PROBE, N_BG));
+        (f.estimate(1), f.zeros() as f64)
+    });
+    let bound =
+        theory::freebs_variance_bound(N_PROBE as f64, (N_PROBE + N_BG) as f64, M_BITS as f64);
+    assert_batch_theorem(&samples, N_PROBE, bound, "Theorem 1");
+}
+
+#[test]
+fn freers_batch_path_unbiased_and_variance_bounded() {
+    // Theorem 2 through `process_batch`. At the load n/M = 1 the theory
+    // module's bound is not degenerate (it is 0 below n/M ≈ 0.72), and M
+    // is large enough that Z stays above 100 · INGEST_BLOCK.
+    const M_REGS: usize = 3 << 15;
+    const N_PROBE: u64 = 32_768;
+    const N_BG: u64 = 65_536;
+    let samples = batch_trials(12000..12400, |t| {
+        let mut f = FreeRS::new(M_REGS, t);
+        f.process_batch(&two_user_stream(N_PROBE, N_BG));
+        (f.estimate(1), f.q() * f.capacity() as f64)
+    });
+    let bound =
+        theory::freers_variance_bound(N_PROBE as f64, (N_PROBE + N_BG) as f64, M_REGS as f64);
+    assert_batch_theorem(&samples, N_PROBE, bound, "Theorem 2");
+}
+
 #[test]
 fn freebs_beats_cse_variance_in_shared_regime() {
     // §IV-C claim: under the same M, FreeBS has lower variance than CSE
