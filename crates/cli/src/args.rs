@@ -45,11 +45,13 @@ pub struct Cli {
     pub batch: usize,
     /// Parallel ingest threads. `1` (default) runs the exclusive scalar
     /// estimators; `> 1` switches to the sharded concurrent estimators
-    /// with one ingest thread per chunk of the stream.
+    /// with one ingest thread per chunk of the stream. File decode runs on
+    /// one more thread either way.
     pub threads: usize,
     /// Streaming read chunk: edges pulled from the input file per reader
-    /// call. Bounds the resident edge buffer — the file-ingest paths never
-    /// hold more than one chunk in memory.
+    /// call. Bounds the resident edge buffers — the file-ingest paths hold
+    /// two chunks in memory: the one being applied and the next one
+    /// decoding.
     pub chunk: usize,
     /// Input-format override (`--format tsv|fedge`); `None` (the `auto`
     /// default) sniffs the file header.
@@ -215,9 +217,14 @@ COMMON FLAGS:
   --batch N                ingest batch size in edges; 0 = scalar
                            per-edge path (default 8192)
   --threads N              parallel ingest threads; >1 uses the sharded
-                           concurrent estimator (default 1)
-  --chunk N                edges read from the file per streaming chunk —
-                           the resident-edge bound (default 65536)
+                           concurrent estimator (default 1). File decode
+                           runs on one extra thread, a chunk ahead
+  --chunk N                edges read from the file per streaming chunk;
+                           two chunks are resident, the one being applied
+                           and the next one decoding. Each chunk is one
+                           hand-off between the two threads, so chunks
+                           below a few hundred edges ingest slower
+                           (default 65536)
   --format auto|tsv|fedge  input format (default auto: sniff the header)
   --checkpoint FILE        crash-safe ingest for estimate/spreaders/track:
                            restore FILE if present (FILE.prev when the

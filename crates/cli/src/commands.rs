@@ -1,18 +1,20 @@
 //! Subcommand implementations, writing to any `io::Write` so tests can
 //! capture output exactly.
 //!
-//! Every file-ingesting command streams its input through
-//! [`open_source`] — chunk-at-a-time, bounded memory — so traces far
-//! larger than RAM replay with a resident edge buffer of `--chunk` edges.
+//! Every file-ingesting command opens its input with [`open_source`] and
+//! drives it through [`read_ahead`] — chunk-at-a-time, bounded memory — so
+//! traces far larger than RAM replay with two resident edge buffers of
+//! `--chunk` edges: the chunk being applied and the one a decode thread
+//! fills next.
 
 use crate::args::{Cli, Command, MethodChoice};
 use crate::input::{hash_id, open_source, InputFormat};
-use freesketch::ingest::{skip_edges, stream_into};
+use freesketch::ingest::{ingest_slice, skip_edges};
 use freesketch::snapshot::{
     fallback_path, load_snapshot, load_with_fallback, save_snapshot_file, AnySketch, Checkpointer,
 };
 use freesketch::{CardinalityEstimator, FreeBS, FreeRS, ShardedFreeBS, ShardedFreeRS};
-use graphstream::{Edge, EdgeSource, FedgeWriter, SnapshotError};
+use graphstream::{read_ahead, EdgeSource, EdgeStreamError, FedgeWriter, SnapshotError};
 use std::io::Write;
 use std::path::Path;
 
@@ -35,15 +37,7 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
                 est.memory_bits(),
                 est.total_estimate()
             )?;
-            let users = rank_users(est);
-            writeln!(
-                out,
-                "top {} users by estimated cardinality:",
-                top.min(&users.len())
-            )?;
-            for (u, e) in users.iter().take(*top) {
-                writeln!(out, "  {u:016x}  {e:.1}")?;
-            }
+            write_top_users(out, est, *top)?;
         }
         Command::Spreaders { path, delta } => {
             let mut runner = Runner::build(cli, out)?;
@@ -95,18 +89,17 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
             // nor clobber a previous good output.
             let part_path = format!("{out_path}.part");
             let encode =
-                |src: &mut dyn graphstream::EdgeSource| -> Result<u64, Box<dyn std::error::Error>> {
+                |src: &mut (dyn EdgeSource + Send)| -> Result<u64, Box<dyn std::error::Error>> {
                     let file = std::fs::File::create(&part_path)
                         .map_err(|e| format!("cannot create `{part_path}`: {e}"))?;
                     let mut writer = FedgeWriter::new(std::io::BufWriter::new(file))?;
-                    let mut buf: Vec<Edge> = Vec::with_capacity(cli.chunk);
-                    loop {
-                        let n = src.next_chunk(&mut buf, cli.chunk)?;
-                        if n == 0 {
-                            break;
-                        }
-                        writer.write_edges(&buf)?;
-                    }
+                    read_ahead(
+                        src,
+                        cli.chunk,
+                        |buf| -> Result<(), Box<dyn std::error::Error>> {
+                            Ok(writer.write_edges(buf)?)
+                        },
+                    )?;
                     let records = writer.records_written();
                     writer.finish()?;
                     Ok(records)
@@ -147,37 +140,37 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
             // restore the table continues from the checkpoint's offset
             // (earlier rows belong to the interrupted run).
             let mut src = runner.open(cli, path)?;
-            let mut buf: Vec<Edge> = Vec::with_capacity(cli.chunk);
             let mut pairs: Vec<(u64, u64)> = Vec::new();
             let mut seen = runner.base;
             let mut next_cp = (seen / step + 1) * step;
             let mut printed_at = seen;
-            loop {
-                let n = src.next_chunk(&mut buf, cli.chunk)?;
-                if n == 0 {
-                    break;
-                }
-                let mut off = 0usize;
-                while off < n {
-                    let take = usize::try_from(next_cp - seen)
-                        .unwrap_or(usize::MAX)
-                        .min(n - off);
-                    runner.sketch.apply_chunk(
-                        &buf[off..off + take],
-                        &mut pairs,
-                        cli.batch,
-                        cli.threads,
-                    );
-                    seen += take as u64;
-                    off += take;
-                    runner.maybe_checkpoint(seen)?;
-                    if seen == next_cp {
-                        writeln!(out, "{:>12}  {:>12.1}", seen, runner.sketch.estimate(uid))?;
-                        printed_at = seen;
-                        next_cp += step;
+            read_ahead(
+                src.as_mut(),
+                cli.chunk,
+                |buf| -> Result<(), Box<dyn std::error::Error>> {
+                    let mut off = 0usize;
+                    while off < buf.len() {
+                        let take = usize::try_from(next_cp - seen)
+                            .unwrap_or(usize::MAX)
+                            .min(buf.len() - off);
+                        runner.sketch.apply_chunk(
+                            &buf[off..off + take],
+                            &mut pairs,
+                            cli.batch,
+                            cli.threads,
+                        );
+                        seen += take as u64;
+                        off += take;
+                        runner.maybe_checkpoint(seen)?;
+                        if seen == next_cp {
+                            writeln!(out, "{:>12}  {:>12.1}", seen, runner.sketch.estimate(uid))?;
+                            printed_at = seen;
+                            next_cp += step;
+                        }
                     }
-                }
-            }
+                    Ok(())
+                },
+            )?;
             if seen > printed_at {
                 writeln!(out, "{:>12}  {:>12.1}", seen, runner.sketch.estimate(uid))?;
             }
@@ -220,7 +213,15 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
             if let Some(trace) = resume {
                 let (mut src, _) = open_source(trace, cli.format)?;
                 skip_recorded(src.as_mut(), offset, cli.chunk, trace, "snapshot")?;
-                total += stream_into(&mut sketch, src.as_mut(), cli.chunk, cli.batch)?;
+                let mut pairs: Vec<(u64, u64)> = Vec::new();
+                total += read_ahead(
+                    src.as_mut(),
+                    cli.chunk,
+                    |buf| -> Result<(), EdgeStreamError> {
+                        ingest_slice(&mut sketch, buf, &mut pairs, cli.batch);
+                        Ok(())
+                    },
+                )?;
             }
             writeln!(
                 out,
@@ -229,15 +230,7 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
                 sketch.memory_bits(),
                 sketch.total_estimate()
             )?;
-            let users = rank_users(&sketch);
-            writeln!(
-                out,
-                "top {} users by estimated cardinality:",
-                top.min(&users.len())
-            )?;
-            for (u, e) in users.iter().take(*top) {
-                writeln!(out, "  {u:016x}  {e:.1}")?;
-            }
+            write_top_users(out, &sketch, *top)?;
         }
         Command::Merge {
             inputs,
@@ -325,6 +318,25 @@ fn rank_users(est: &dyn CardinalityEstimator) -> Vec<(u64, f64)> {
     users
 }
 
+/// The report's ranked tail shared by `estimate` and `restore`: a header
+/// and the `top` heaviest users.
+fn write_top_users(
+    out: &mut dyn Write,
+    est: &dyn CardinalityEstimator,
+    top: usize,
+) -> std::io::Result<()> {
+    let users = rank_users(est);
+    writeln!(
+        out,
+        "top {} users by estimated cardinality:",
+        top.min(users.len())
+    )?;
+    for (u, e) in users.iter().take(top) {
+        writeln!(out, "  {u:016x}  {e:.1}")?;
+    }
+    Ok(())
+}
+
 /// First streaming pass for `track`: the stream length (for checkpoint
 /// sizing) and the tracked user's resolved id. The user may be given as
 /// the original string id (hashed), as a numeric id already present in the
@@ -339,25 +351,23 @@ fn scan_total_and_user(
     let string_hash = hash_id(user);
     let numeric: Option<u64> = user.parse().ok();
     let (mut src, _) = open_source(path, cli.format)?;
-    let mut buf: Vec<Edge> = Vec::with_capacity(cli.chunk);
-    let mut total = 0u64;
     let mut string_seen = false;
     let mut raw_seen = false;
-    loop {
-        let n = src.next_chunk(&mut buf, cli.chunk)?;
-        if n == 0 {
-            break;
-        }
-        total += n as u64;
-        if !string_seen && buf.iter().any(|e| e.user == string_hash) {
-            string_seen = true;
-        }
-        if let Some(raw) = numeric {
-            if !raw_seen && buf.iter().any(|e| e.user == raw) {
-                raw_seen = true;
+    let total = read_ahead(
+        src.as_mut(),
+        cli.chunk,
+        |buf| -> Result<(), EdgeStreamError> {
+            if !string_seen && buf.iter().any(|e| e.user == string_hash) {
+                string_seen = true;
             }
-        }
-    }
+            if let Some(raw) = numeric {
+                if !raw_seen && buf.iter().any(|e| e.user == raw) {
+                    raw_seen = true;
+                }
+            }
+            Ok(())
+        },
+    )?;
     let uid = match numeric {
         _ if string_seen => string_hash,
         Some(raw) if raw_seen => raw,
@@ -493,22 +503,21 @@ impl Runner {
     /// Streams a whole file into the sketch, checkpointing between
     /// chunks; returns edges processed — including, after a restore, the
     /// edges the snapshot already covered (those are skipped, not
-    /// re-ingested). Peak resident edge memory is O(`--chunk`).
+    /// re-ingested). Peak resident edge memory is two `--chunk` buffers.
     fn ingest_source(&mut self, cli: &Cli, path: &str) -> Result<u64, Box<dyn std::error::Error>> {
         let mut src = self.open(cli, path)?;
-        let mut buf: Vec<Edge> = Vec::with_capacity(cli.chunk);
         let mut pairs: Vec<(u64, u64)> = Vec::new();
         let mut seen = self.base;
-        loop {
-            let n = src.next_chunk(&mut buf, cli.chunk)?;
-            if n == 0 {
-                break;
-            }
-            self.sketch
-                .apply_chunk(&buf, &mut pairs, cli.batch, cli.threads);
-            seen += n as u64;
-            self.maybe_checkpoint(seen)?;
-        }
+        read_ahead(
+            src.as_mut(),
+            cli.chunk,
+            |buf| -> Result<(), Box<dyn std::error::Error>> {
+                self.sketch
+                    .apply_chunk(buf, &mut pairs, cli.batch, cli.threads);
+                seen += buf.len() as u64;
+                Ok(self.maybe_checkpoint(seen)?)
+            },
+        )?;
         self.final_checkpoint(seen)?;
         Ok(seen)
     }
@@ -548,12 +557,17 @@ mod tests {
     use super::*;
     use crate::args::Cli;
 
+    /// A fresh file per call: tests run in parallel threads of one
+    /// process, and two with equal content must not share (and race on)
+    /// one path.
     fn write_temp(content: &str) -> std::path::PathBuf {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        // ORDERING: relaxed-ok — only uniqueness of the value matters.
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut path = std::env::temp_dir();
         path.push(format!(
-            "freesketch-cli-test-{}-{}.tsv",
-            std::process::id(),
-            hashkit::splitmix64(content.len() as u64)
+            "freesketch-cli-test-{}-{n}.tsv",
+            std::process::id()
         ));
         std::fs::write(&path, content).expect("write temp file");
         path
@@ -760,34 +774,65 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// The report `estimate` prints, with the trace ingested by the
+    /// serial `stream_into` loop instead of the read-ahead driver.
+    fn serial_estimate_report(cli: &Cli, path: &str, top: usize) -> String {
+        let mut sketch = build_sketch(cli, false);
+        let (mut src, _) = open_source(path, cli.format).expect("open");
+        let total =
+            freesketch::ingest::stream_into(&mut sketch, src.as_mut(), cli.chunk, cli.batch)
+                .expect("clean trace");
+        let mut out = Vec::new();
+        writeln!(
+            out,
+            "{total} edges processed with {} ({} bits); total cardinality ≈ {:.0}",
+            sketch.name(),
+            sketch.memory_bits(),
+            sketch.total_estimate()
+        )
+        .expect("write");
+        write_top_users(&mut out, &sketch, top).expect("write");
+        String::from_utf8(out).expect("utf8")
+    }
+
     #[test]
     fn convert_then_estimate_is_bit_identical() {
         // The acceptance bar of the streaming-ingestion issue: a fedge
         // re-encode of a TSV trace replays to the exact same report under
-        // the same flags — including with a chunk small enough that both
-        // files stream in many chunks, and on the sharded path.
+        // the same flags, and so does the serial `stream_into` loop the
+        // read-ahead driver replaced — at chunks of one edge, of a size
+        // that divides nothing, and the default, on the scalar and both
+        // batch paths.
         let mut content = String::new();
-        for u in 0..10 {
-            for d in 0..(u + 1) * 15 {
-                content.push_str(&format!("user{u} item{u}x{d}\n"));
-            }
+        for i in 0..100_000u64 {
+            let user = hashkit::splitmix64(i) % 4000;
+            content.push_str(&format!("user{user} item{}\n", i % 50_000));
         }
         let tsv = write_temp(&content);
         let p = tsv.to_str().expect("utf8 path");
         let fedge = format!("{p}.fedge");
         let conv = run_to_string(&["convert", p, &fedge]);
-        assert!(conv.contains("825 edges →"), "{conv}");
+        assert!(conv.contains("100000 edges →"), "{conv}");
 
-        for extra in [&["--chunk", "100"][..], &["--batch", "0"], &[]] {
-            let mut args_tsv = vec!["estimate", p, "--top", "5"];
-            args_tsv.extend_from_slice(extra);
-            let mut args_fedge = vec!["estimate", fedge.as_str(), "--top", "5"];
-            args_fedge.extend_from_slice(extra);
-            assert_eq!(
-                run_to_string(&args_tsv),
-                run_to_string(&args_fedge),
-                "flags {extra:?}"
-            );
+        for chunk in ["1", "17", "65536"] {
+            for batch in ["0", "100", "8192"] {
+                let flags = ["--top", "20", "--chunk", chunk, "--batch", batch];
+                let mut reports = Vec::new();
+                for path in [p, fedge.as_str()] {
+                    let mut args = vec!["estimate", path];
+                    args.extend_from_slice(&flags);
+                    let cli = Cli::parse(&args).expect("parse");
+                    let report = run_to_string(&args);
+                    assert_eq!(
+                        report,
+                        serial_estimate_report(&cli, path, 20),
+                        "{path} {flags:?}"
+                    );
+                    reports.push(report);
+                }
+                assert_eq!(reports[0], reports[1], "flags {flags:?}");
+                assert!(reports[0].contains("100000 edges processed"), "{reports:?}");
+            }
         }
 
         // track works on the binary file too (string user resolved by hash).
@@ -861,6 +906,37 @@ mod tests {
         };
         assert_eq!(users(&est_out), users(&rs_out), "{est_out}\nvs\n{rs_out}");
 
+        // `restore` with a trace resumes it after the snapshot's offset: a
+        // snapshot of the first half plus the rest of the trace is the
+        // whole-trace run, chunk for chunk (the half is one `--chunk`).
+        let half = write_temp(
+            &content
+                .lines()
+                .take(315)
+                .map(|l| format!("{l}\n"))
+                .collect::<String>(),
+        );
+        let half_snap = format!("{p}.half.fsnp");
+        let flags = ["--top", "6", "--chunk", "315"];
+        let mut args = vec!["checkpoint", half.to_str().expect("utf8 path"), &half_snap];
+        args.extend_from_slice(&flags);
+        assert!(run_to_string(&args).contains("315 edges →"));
+        let mut args = vec!["estimate", p];
+        args.extend_from_slice(&flags);
+        let est_chunked = run_to_string(&args);
+        let mut args = vec!["restore", &half_snap, p];
+        args.extend_from_slice(&flags);
+        let resumed = run_to_string(&args);
+        assert!(
+            resumed.contains("630 edges in freebs snapshot"),
+            "{resumed}"
+        );
+        assert_eq!(
+            users(&est_chunked),
+            users(&resumed),
+            "{est_chunked}\nvs\n{resumed}"
+        );
+
         // A sharded checkpoint round-trips through the CLI too.
         let sharded_snap = format!("{p}.sharded.fsnp");
         run_to_string(&["checkpoint", p, &sharded_snap, "--threads", "2"]);
@@ -870,6 +946,8 @@ mod tests {
         std::fs::remove_file(path).ok();
         std::fs::remove_file(snap).ok();
         std::fs::remove_file(sharded_snap).ok();
+        std::fs::remove_file(half).ok();
+        std::fs::remove_file(half_snap).ok();
     }
 
     #[test]

@@ -611,8 +611,7 @@ fn respond(shared: &Shared, req: &Request) -> (String, bool) {
             let edges = shared.edges_applied.load(Ordering::Relaxed);
             // ORDERING: relaxed-ok — same advisory read as above.
             let queries = shared.served_queries.load(Ordering::Relaxed);
-            let mut users = 0u64;
-            shared.sketch.for_each_estimate(&mut |_, _| users += 1);
+            let users = shared.sketch.user_count();
             let errors = shared.errors.lock().len();
             (
                 format!(
@@ -756,6 +755,58 @@ mod tests {
         assert!(!report.writer_panicked);
         assert!(!report.checkpointed, "no checkpoint configured");
         assert!(report.errors.is_empty(), "{:?}", report.errors);
+    }
+
+    #[test]
+    fn stats_user_count_matches_a_full_walk() {
+        // STATS counts users without walking them on one shard and by
+        // merging on two (one user's edges span shards): both must equal
+        // the number of users a full walk of the same state visits.
+        for shards in [1usize, 2] {
+            let es: Vec<Edge> = (0..20_000u64)
+                .map(|i| Edge::new(i % 997, i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+                .collect();
+            let src = Box::new(CycleSource::new(es, 1));
+            let handle = spawn(
+                sharded(shards),
+                src,
+                ServeConfig {
+                    chunk: 512,
+                    ..ServeConfig::default()
+                },
+            )
+            .expect("spawn");
+            let addr = handle.addr();
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !send_lines(addr, "STATS\n")[0].contains("edges=20000") {
+                assert!(Instant::now() < deadline, "ingest never finished");
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            let snap = std::env::temp_dir().join(format!(
+                "freesketch-serve-users-{}-{shards}.fsnp",
+                std::process::id()
+            ));
+            let replies = send_lines(
+                addr,
+                &format!("SNAPSHOT {}\nSTATS\nSHUTDOWN\n", snap.display()),
+            );
+            assert!(replies[0].starts_with("OK snapshot"), "{replies:?}");
+            handle.join().expect("join");
+            let users: usize = replies[1]
+                .split_whitespace()
+                .find_map(|f| f.strip_prefix("users="))
+                .expect("users field")
+                .parse()
+                .expect("users count");
+            let (sketch, _, _) = freesketch::snapshot::load_with_fallback(&snap)
+                .expect("load")
+                .expect("snapshot written");
+            let mut walked = 0usize;
+            sketch.for_each_estimate(&mut |_, _| walked += 1);
+            assert_eq!(users, walked, "{shards} shard(s)");
+            assert!(walked > 900, "{shards} shard(s): {walked} users");
+            std::fs::remove_file(&snap).ok();
+        }
     }
 
     #[test]

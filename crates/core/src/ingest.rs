@@ -1,10 +1,14 @@
 //! Streaming ingest drivers: feed any [`EdgeSource`] to an estimator
-//! chunk-at-a-time.
+//! chunk-at-a-time, decode and apply in turn on the calling thread.
 //!
-//! These are the batch entry points file-backed replay goes through: the
-//! trace never exists in memory as a whole — only one `chunk`-edge buffer
-//! (plus its bare-pair mirror) is resident, so multi-GB traces stream in
-//! O(chunk) peak memory. The `batch` knob mirrors the CLI's `--batch`:
+//! The trace never exists in memory as a whole — only one `chunk`-edge
+//! buffer (plus its bare-pair mirror) is resident, so multi-GB traces
+//! stream in O(chunk) peak memory. The CLI's file commands do not loop
+//! here: they drive [`graphstream::read_ahead`], which decodes the next
+//! chunk on a second thread while [`ingest_slice`] (or the sharded
+//! fan-out) applies the current one, with two chunk buffers resident.
+//! [`stream_into`] is the serial reference that path is tested against.
+//! The `batch` knob mirrors the CLI's `--batch`:
 //! edges handed to `process_batch` per call, `0` forcing the scalar
 //! per-edge path.
 

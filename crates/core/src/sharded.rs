@@ -157,10 +157,15 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ShardedSketch<S, Q> {
         merged
     }
 
-    /// Number of distinct users tracked (merged across shards).
+    /// Number of distinct users tracked. One shard answers from its own
+    /// counter map; more shards build the merged map, because edges are
+    /// routed by edge, not by user, so one user's counters span shards.
     #[must_use]
     pub fn user_count(&self) -> usize {
-        self.merged_estimates().len()
+        match &self.shards[..] {
+            [one] => one.user_count(),
+            _ => self.merged_estimates().len(),
+        }
     }
 
     /// Total shared-array memory in bits.

@@ -256,6 +256,15 @@ impl AnySketch {
         }
     }
 
+    /// Number of distinct users tracked — what counting
+    /// [`CardinalityEstimator::for_each_estimate`] calls gives, without
+    /// the walk for the scalar kinds and a one-shard sharded sketch (see
+    /// [`ShardedSketch::user_count`]).
+    #[must_use]
+    pub fn user_count(&self) -> usize {
+        dispatch!(self, e => e.user_count())
+    }
+
     /// Drives `src` to exhaustion, checkpointing through `ckpt` at chunk
     /// boundaries (the quiescent points) once at least its interval's
     /// worth of new edges has accumulated, plus a final checkpoint at

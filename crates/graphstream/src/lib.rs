@@ -20,7 +20,8 @@
 //!   ids hashed to `u64` under a fixed seed);
 //! * [`source`] — the [`EdgeSource`] chunk-at-a-time streaming trait, so
 //!   traces far larger than memory flow to the estimators through a
-//!   bounded buffer;
+//!   bounded buffer, and [`read_ahead`], which decodes the next chunk on
+//!   a second thread while the current one is applied;
 //! * [`snapshot`] — the checksummed `FSNP` snapshot container (sectioned,
 //!   per-section CRC32, typed [`SnapshotError`]) that sketch state
 //!   persists through;
@@ -43,7 +44,7 @@ pub use fault::{Fault, FaultReader, FaultWriter};
 pub use fedge::{FedgeError, FedgeReader, FedgeWriter};
 pub use profiles::{DatasetProfile, PROFILES};
 pub use snapshot::SnapshotError;
-pub use source::{CycleSource, EdgeSource, EdgeStreamError, SliceSource};
+pub use source::{read_ahead, CycleSource, EdgeSource, EdgeStreamError, SliceSource};
 pub use synth::{SynthConfig, SynthStream};
 pub use truth::GroundTruth;
 pub use tsv::TsvEdgeSource;

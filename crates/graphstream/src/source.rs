@@ -6,9 +6,14 @@
 //! is. Implemented by [`FedgeReader`](crate::FedgeReader) (binary files),
 //! [`TsvEdgeSource`](crate::TsvEdgeSource) (text files) and
 //! [`SynthStream`](crate::SynthStream) (in-memory replay).
+//!
+//! [`read_ahead`] is the one driver file ingest goes through: it decodes
+//! the next chunk on a second thread while the caller applies the current
+//! one, so two chunk buffers are resident instead of one.
 
 use crate::fedge::FedgeError;
 use crate::Edge;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 /// A resumable, bounded-buffer producer of stream edges.
 ///
@@ -27,6 +32,109 @@ pub trait EdgeSource {
     /// file readers generally don't).
     fn len_hint(&self) -> Option<u64> {
         None
+    }
+}
+
+/// Drives `src` to exhaustion, handing each chunk of up to `chunk` edges
+/// to `f` while one decode thread fills the next chunk; returns the edges
+/// handed over.
+///
+/// `f` sees exactly the chunks serial [`EdgeSource::next_chunk`] calls
+/// would return, in the same sizes and order. The first chunk is read on
+/// the calling thread: an empty source returns `Ok(0)` without spawning a
+/// thread or allocating a second buffer. Otherwise exactly two buffers of
+/// `chunk` capacity circulate between the two threads over two bounded
+/// channels, so nothing is allocated per chunk and the decoder runs at
+/// most one chunk ahead.
+///
+/// # Errors
+/// A source error is returned after every earlier chunk has gone through
+/// `f`; the partial chunk it interrupted never does. The first error `f`
+/// returns stops the drive: the decode thread is released and joined, and
+/// the error is returned. A panic on the decode thread is resumed on the
+/// calling thread.
+// HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
+pub fn read_ahead<E, F>(src: &mut (dyn EdgeSource + Send), chunk: usize, mut f: F) -> Result<u64, E>
+where
+    E: From<EdgeStreamError>,
+    F: FnMut(&[Edge]) -> Result<(), E>,
+{
+    let chunk = chunk.max(1);
+    let mut first: Vec<Edge> = Vec::with_capacity(chunk);
+    if src.next_chunk(&mut first, chunk)? == 0 {
+        return Ok(0);
+    }
+    let second: Vec<Edge> = Vec::with_capacity(chunk);
+    std::thread::scope(|s| {
+        let (full_tx, full_rx) = sync_channel(1);
+        let (empty_tx, empty_rx) = sync_channel(1);
+        let decoder = s.spawn(move || decode_ahead(src, chunk, second, &full_tx, &empty_rx));
+        let applied = apply_ahead(first, &full_rx, &empty_tx, &mut f);
+        // Closing both ends wakes a decoder blocked on either channel.
+        drop((full_rx, empty_tx));
+        if let Err(panic) = decoder.join() {
+            std::panic::resume_unwind(panic);
+        }
+        applied
+    })
+}
+
+/// The calling thread's half of [`read_ahead`]: applies `cur`, returns its
+/// buffer to the decoder and takes the next full one, until the decoder
+/// hangs up (end of stream) or sends an error.
+fn apply_ahead<E, F>(
+    mut cur: Vec<Edge>,
+    full: &Receiver<Result<Vec<Edge>, EdgeStreamError>>,
+    empty: &SyncSender<Vec<Edge>>,
+    f: &mut F,
+) -> Result<u64, E>
+where
+    E: From<EdgeStreamError>,
+    F: FnMut(&[Edge]) -> Result<(), E>,
+{
+    let mut total = 0u64;
+    loop {
+        f(&cur)?;
+        total += cur.len() as u64;
+        // A decoder that already finished has dropped its receiver; what it
+        // sent last (end of stream or an error) is still read below.
+        let _ = empty.send(cur);
+        match full.recv() {
+            Ok(Ok(next)) => cur = next,
+            Ok(Err(e)) => return Err(e.into()),
+            Err(_) => return Ok(total),
+        }
+    }
+}
+
+/// The decode thread's half of [`read_ahead`]: fills `buf`, sends it full
+/// and waits for an emptied one. Returning drops the sender, which is how
+/// end of stream reaches the caller; a closed channel means the caller
+/// stopped.
+fn decode_ahead(
+    src: &mut (dyn EdgeSource + Send),
+    chunk: usize,
+    mut buf: Vec<Edge>,
+    full: &SyncSender<Result<Vec<Edge>, EdgeStreamError>>,
+    empty: &Receiver<Vec<Edge>>,
+) {
+    loop {
+        match src.next_chunk(&mut buf, chunk) {
+            Ok(0) => return,
+            Ok(_) => {
+                if full.send(Ok(buf)).is_err() {
+                    return;
+                }
+            }
+            Err(e) => {
+                let _ = full.send(Err(e));
+                return;
+            }
+        }
+        match empty.recv() {
+            Ok(next) => buf = next,
+            Err(_) => return,
+        }
     }
 }
 

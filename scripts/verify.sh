@@ -17,7 +17,7 @@ echo "==> concurrency tests, repeated (5 runs, default test-thread count)"
 for run in 1 2 3 4 5; do
   echo "    run $run/5"
   env -u RUST_TEST_THREADS cargo test -q -p freesketch-cli \
-    --test serve_shutdown --test serve_stress
+    --lib --test serve_shutdown --test serve_stress
   env -u RUST_TEST_THREADS cargo test -q -p freesketch-suite \
     --test serve_e2e --test concurrent_equivalence
 done
@@ -94,6 +94,34 @@ diff -u "$tmp/synth-tsv.txt" "$tmp/synth-fedge.txt" || {
 }
 grep -q "edges processed" "$tmp/synth-tsv.txt" || {
   echo "streaming estimate produced no report"; exit 1;
+}
+
+echo "==> read-ahead failure smoke (errors surface in order, no hung decode thread)"
+# A malformed line after several --chunk 64 chunks: the run must fail with
+# the line's own diagnostic, and must not hang (timeout exits 124).
+{ for i in $(seq 1 300); do echo "user$(( i % 7 )) item$i"; done
+  echo "broken"
+  for i in $(seq 1 300); do echo "user$(( i % 5 )) late$i"; done; } > "$tmp/malformed.tsv"
+status=0
+timeout 20 ./target/release/freesketch estimate "$tmp/malformed.tsv" --chunk 64 \
+  > /dev/null 2> "$tmp/malformed-err.txt" || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+  echo "malformed TSV: exit $status, want a prompt non-zero exit"; exit 1
+fi
+grep -q 'line 301: expected `user item`, got `broken`' "$tmp/malformed-err.txt" || {
+  echo "malformed TSV error lost its line:"; cat "$tmp/malformed-err.txt"; exit 1;
+}
+# A checkpoint write that fails mid-stream stops the drive while the
+# decode thread is a chunk ahead: the run must still exit promptly.
+status=0
+FREESKETCH_CRASH_AFTER_CHECKPOINTS=1 timeout 20 ./target/release/freesketch estimate \
+  "$tmp/synth.tsv" --chunk 1024 --checkpoint "$tmp/ra-crash.fsnp" --checkpoint-every 2048 \
+  > /dev/null 2> "$tmp/ra-crash-err.txt" || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+  echo "checkpoint crash: exit $status, want a prompt non-zero exit"; exit 1
+fi
+grep -q "simulated crash" "$tmp/ra-crash-err.txt" || {
+  echo "checkpoint crash error not typed:"; cat "$tmp/ra-crash-err.txt"; exit 1;
 }
 
 echo "==> checkpoint / crash / restore / resume smoke (~1M-edge trace)"
