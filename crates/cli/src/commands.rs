@@ -797,12 +797,11 @@ mod tests {
 
     #[test]
     fn convert_then_estimate_is_bit_identical() {
-        // The acceptance bar of the streaming-ingestion issue: a fedge
-        // re-encode of a TSV trace replays to the exact same report under
-        // the same flags, and so does the serial `stream_into` loop the
-        // read-ahead driver replaced — at chunks of one edge, of a size
-        // that divides nothing, and the default, on the scalar and both
-        // batch paths.
+        // A fedge re-encode of a TSV trace replays to the exact same
+        // report under the same flags, and so does the serial
+        // `stream_into` loop, the reference for the read-ahead driver — at
+        // chunks of one edge, of a size that divides nothing, and the
+        // default, on the scalar and both batch paths.
         let mut content = String::new();
         for i in 0..100_000u64 {
             let user = hashkit::splitmix64(i) % 4000;
