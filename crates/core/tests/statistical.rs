@@ -6,8 +6,9 @@
 //! of FreeBS/FreeRS estimates matches Theorems 1 and 2 — unbiased, with
 //! variance at (or below) the stated bound.
 
+use freesketch::snapshot::AnySketch;
 use freesketch::theory;
-use freesketch::{CardinalityEstimator, FreeBS, FreeRS};
+use freesketch::{CardinalityEstimator, FreeBS, FreeRS, ShardedFreeBS, ShardedFreeRS};
 
 /// Builds a two-user stream: the probe user with `n_probe` items plus a
 /// background user with `n_bg` items, interleaved, and returns the probe
@@ -137,11 +138,14 @@ fn batch_trials(seeds: std::ops::Range<u64>, trial: fn(u64) -> (f64, f64)) -> Ve
 }
 
 /// Theorem 1/2 checks for the batch path. `samples` pairs each trial's
-/// probe estimate with the `q` numerator at its end (`m₀` resp. `Z`).
-/// Batch ingest freezes `q` for each [`freesketch::INGEST_BLOCK`]-edge
-/// block, which lowers an estimate by a relative factor of at most
-/// `INGEST_BLOCK / numerator`; the bias allowance adds that drift to the
-/// scalar check's `4·SE + 1`, and the geometry keeps it at ≤ 1 % of `n`.
+/// probe estimate with the `q` numerator at its end (`m₀` resp. `Z`; for
+/// a sharded sketch the smallest shard's). Batch ingest freezes `q` for
+/// each [`freesketch::INGEST_BLOCK`]-edge block, which lowers an estimate
+/// by a relative factor of at most `INGEST_BLOCK / numerator`; the bias
+/// allowance adds that drift to the scalar check's `4·SE + 1`, and the
+/// geometry keeps it at ≤ 1 % of `n`. With shards, each shard drifts by
+/// its own share `n_p · INGEST_BLOCK / numerator_p`, and the sum of those
+/// is at most `n · INGEST_BLOCK / min_p numerator_p`.
 fn assert_batch_theorem(samples: &[(f64, f64)], n_probe: u64, bound: f64, theorem: &str) {
     let estimates: Vec<f64> = samples.iter().map(|s| s.0).collect();
     let (mean, var) = moments(&estimates);
@@ -196,6 +200,68 @@ fn freers_batch_path_unbiased_and_variance_bounded() {
     let bound =
         theory::freers_variance_bound(N_PROBE as f64, (N_PROBE + N_BG) as f64, M_REGS as f64);
     assert_batch_theorem(&samples, N_PROBE, bound, "Theorem 2");
+}
+
+/// Shards of the sharded checks below: one thread feeds `P = 2` shards.
+const SHARDS: usize = 2;
+
+/// Theorem 1/2 bound of a sketch split into [`SHARDS`] shards of `m / P`
+/// slots: routing thins every user's stream uniformly, so each shard is
+/// an independent sketch over `n / P` of the probe's items and `total / P`
+/// of all items, and the probe's estimate is the sum of the shards'.
+fn sharded_bound(bound: fn(f64, f64, f64) -> f64, n_probe: u64, total: u64, m: usize) -> f64 {
+    let p = SHARDS as f64;
+    p * bound(n_probe as f64 / p, total as f64 / p, m as f64 / p)
+}
+
+/// The probe's estimate and the smallest shard's `q` numerator after one
+/// thread fed `edges` through the sharded `process_batch`.
+fn sharded_sample(sketch: AnySketch, shard_slots: usize) -> (f64, f64) {
+    (sketch.estimate(1), sketch.sampling_q() * shard_slots as f64)
+}
+
+#[test]
+fn sharded_freebs_batch_path_unbiased_and_variance_bounded() {
+    // Theorem 1 through `ShardedFreeBS::process_batch` at P = 2, fed from
+    // one thread so every trial is deterministic. Each shard holds
+    // M/P bits and m₀ stays above 100 · INGEST_BLOCK in each.
+    const M_BITS: usize = 1 << 18;
+    const N_PROBE: u64 = 5_000;
+    const N_BG: u64 = 10_000;
+    let samples = batch_trials(3000..3400, |t| {
+        let s = ShardedFreeBS::new(M_BITS, SHARDS, t);
+        s.process_batch(&two_user_stream(N_PROBE, N_BG));
+        sharded_sample(s.into(), M_BITS / SHARDS)
+    });
+    let bound = sharded_bound(
+        theory::freebs_variance_bound,
+        N_PROBE,
+        N_PROBE + N_BG,
+        M_BITS,
+    );
+    assert_batch_theorem(&samples, N_PROBE, bound, "Theorem 1 (2 shards)");
+}
+
+#[test]
+fn sharded_freers_batch_path_unbiased_and_variance_bounded() {
+    // Theorem 2 through `ShardedFreeRS::process_batch` at P = 2, one
+    // thread. Same load n/M = 1 as the unsharded check, with M large
+    // enough that each shard's Z stays above 100 · INGEST_BLOCK.
+    const M_REGS: usize = 15 << 14;
+    const N_PROBE: u64 = 81_920;
+    const N_BG: u64 = 163_840;
+    let samples = batch_trials(13000..13400, |t| {
+        let s = ShardedFreeRS::new(M_REGS, SHARDS, t);
+        s.process_batch(&two_user_stream(N_PROBE, N_BG));
+        sharded_sample(s.into(), M_REGS / SHARDS)
+    });
+    let bound = sharded_bound(
+        theory::freers_variance_bound,
+        N_PROBE,
+        N_PROBE + N_BG,
+        M_REGS,
+    );
+    assert_batch_theorem(&samples, N_PROBE, bound, "Theorem 2 (2 shards)");
 }
 
 #[test]
