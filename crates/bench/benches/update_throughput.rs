@@ -136,14 +136,13 @@ fn bench_om(c: &mut Criterion) {
 }
 
 /// Thread-scaling of the sharded concurrent mode: aggregate ingest rate of
-/// `ShardedFreeBS` (4 shards) at 1 and 2 threads, with the unsharded
-/// `ConcurrentFreeBS` at 2 threads as the contention baseline. Each thread
+/// `ShardedFreeBS` (4 mutex-owned shards) at 1 and 2 threads. Each thread
 /// replays a disjoint chunk of the stream through `ingest_batch`. The
 /// interesting ratio is `sharded/2` vs `sharded/1` — on a multi-core host
 /// it approaches 2×; `exp_ingest --threads N` measures the same thing
 /// outside criterion and records it in `BENCH_scaling.json`.
 fn bench_sharded_scaling(c: &mut Criterion) {
-    use freesketch::{ConcurrentEstimator, ConcurrentFreeBS, ShardedFreeBS};
+    use freesketch::{ConcurrentEstimator, ShardedFreeBS};
     let edges = test_edges(200_000);
     let pairs: Vec<(u64, u64)> = edges.iter().map(|e| (e.user, e.item)).collect();
     let mut group = c.benchmark_group("update/sharded");
@@ -172,12 +171,6 @@ fn bench_sharded_scaling(c: &mut Criterion) {
             },
         );
     }
-    group.bench_function("ConcurrentFreeBS/2", |b| {
-        b.iter(|| {
-            let est = ConcurrentFreeBS::new(1 << 22, 1);
-            run_threads(&est, 2)
-        });
-    });
     group.finish();
 }
 

@@ -993,6 +993,19 @@ mod tests {
             fresh.lines().collect::<Vec<_>>(),
             "{resumed}\nvs\n{fresh}"
         );
+        // The resumed run ends with a final checkpoint at the absolute
+        // stream end (restored offset + edges it ingested), not at the
+        // count of edges that run alone ingested.
+        let after = run_to_string(&["restore", &snap, "--top", "5"]);
+        assert!(
+            after.starts_with("1000 edges in freebs snapshot"),
+            "{after}"
+        );
+        assert_eq!(
+            after.lines().skip(1).collect::<Vec<_>>(),
+            fresh.lines().skip(1).collect::<Vec<_>>(),
+            "{after}\nvs\n{fresh}"
+        );
 
         std::fs::remove_file(path).ok();
         std::fs::remove_file(snap).ok();

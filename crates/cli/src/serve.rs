@@ -2,18 +2,18 @@
 //! surface over TCP.
 //!
 //! This is the paper's *anytime* property made operational — writer
-//! threads drive an [`EdgeSource`] through the sharded concurrent ingest
-//! pipeline (`&self`, lock-free slot stores, per-shard counter maps)
-//! while thread-per-connection handlers answer the
+//! threads drive an [`EdgeSource`] through the sharded ingest pipeline
+//! (`&self`; each shard a scalar engine behind its own mutex, locked once
+//! per sub-batch) while thread-per-connection handlers answer the
 //! [`protocol`](crate::protocol) queries against the very same sketch.
 //! No snapshot copy, no stop-the-world: queries read the live state.
 //!
 //! Consistency machinery, in order of strength:
 //!
 //! * **Live queries** (`ESTIMATE`, `TOPK`, `STATS`, `CONFIDENCE`) read
-//!   the concurrent stores directly. Per-user estimates are monotone
-//!   non-decreasing (counters only accumulate) and never torn (each
-//!   counter read locks its shard).
+//!   the shards directly, each under its lock, so a query waits for at
+//!   most one writer sub-batch per shard. Per-user estimates are monotone
+//!   non-decreasing (counters only accumulate) and never torn.
 //! * **`SNAPSHOT` / periodic checkpoints** quiesce ingest first through
 //!   the `gate` RwLock (writers hold it shared per chunk, snapshotters
 //!   take it exclusively), so every image is a chunk-boundary state —
@@ -26,7 +26,7 @@
 
 use crate::protocol::{parse_request, LineReader, LineStatus, ProtocolError, Request};
 use freesketch::snapshot::{save_snapshot_file, AnySketch, Checkpointer};
-use freesketch::{CardinalityEstimator, ConcurrentEstimator};
+use freesketch::{ingest_slice_parallel, CardinalityEstimator};
 use graphstream::{Edge, EdgeSource};
 use parking_lot::{Mutex, RwLock};
 use std::fmt::Write as _;
@@ -444,11 +444,10 @@ fn writer_loop(shared: &Arc<Shared>, chunk: usize, batch: usize, ckpt_every: Opt
             // keep being served until a drain is requested.
             return;
         }
-        pairs.clear();
-        pairs.extend(buf.iter().map(|e| e.pair()));
         {
             let _ingesting = shared.gate.read();
-            apply_pairs(est, &pairs, batch);
+            // Each writer applies its own chunk on its own thread.
+            ingest_slice_parallel(est, &buf, &mut pairs, batch, 1);
             // ORDERING: relaxed-ok — bumped inside the gate's read section;
             // the consistency-critical readers (snapshot, checkpoint, final
             // report) hold the gate exclusively, so the lock handoff orders
@@ -458,21 +457,6 @@ fn writer_loop(shared: &Arc<Shared>, chunk: usize, batch: usize, ckpt_every: Opt
         }
         if let Some(every) = ckpt_every {
             maybe_periodic_checkpoint(shared, every);
-        }
-    }
-}
-
-// HOT: the serve writer's per-chunk apply — the daemon's steady-state
-// ingest path must not allocate; `pairs` is caller-owned scratch reused
-// across chunks.
-fn apply_pairs(est: &dyn ConcurrentEstimator, pairs: &[(u64, u64)], batch: usize) {
-    if batch == 0 {
-        for &(user, item) in pairs {
-            est.ingest(user, item);
-        }
-    } else {
-        for block in pairs.chunks(batch) {
-            est.ingest_batch(block);
         }
     }
 }

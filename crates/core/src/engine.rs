@@ -30,6 +30,8 @@ pub trait QTracker<S: SlotStore> {
     /// The paper's name for the estimator this tracker realizes — used as
     /// [`CardinalityEstimator::name`].
     const NAME: &'static str;
+    /// Name of the sharded variant (see [`crate::ShardedSketch`]).
+    const SHARDED_NAME: &'static str;
 
     /// Tracker for a fresh (all-zero) store.
     fn fresh(store: &S) -> Self;
@@ -61,6 +63,7 @@ pub struct ZeroQ;
 
 impl<S: SlotStore> QTracker<S> for ZeroQ {
     const NAME: &'static str = "FreeBS";
+    const SHARDED_NAME: &'static str = "ShardedFreeBS";
 
     #[inline]
     fn fresh(_store: &S) -> Self {
@@ -112,6 +115,7 @@ impl IncrementalZ {
 
 impl<S: SlotStore> QTracker<S> for IncrementalZ {
     const NAME: &'static str = "FreeRS";
+    const SHARDED_NAME: &'static str = "ShardedFreeRS";
 
     #[inline]
     fn fresh(store: &S) -> Self {
@@ -149,9 +153,8 @@ impl<S: SlotStore> QTracker<S> for IncrementalZ {
 /// Horvitz–Thompson counter per user, `q(t)` maintained by a [`QTracker`].
 ///
 /// Instantiated as [`crate::FreeBS`] (`BitArray` + [`ZeroQ`]) and
-/// [`crate::FreeRS`] (`PackedArray` + [`IncrementalZ`]); the concurrent
-/// analogue over the atomic stores is
-/// [`crate::concurrent::ConcurrentEngine`].
+/// [`crate::FreeRS`] (`PackedArray` + [`IncrementalZ`]); concurrent
+/// ingest owns `P` of them behind mutexes ([`crate::ShardedSketch`]).
 #[derive(Debug, Clone)]
 pub struct SketchEngine<S, Q> {
     store: S,

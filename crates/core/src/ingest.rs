@@ -6,15 +6,15 @@
 //! stream in O(chunk) peak memory. The CLI's file commands do not loop
 //! here: they drive [`graphstream::read_ahead`], which decodes the next
 //! chunk on a second thread while [`ingest_slice`] (or the sharded
-//! fan-out) applies the current one, with two chunk buffers resident.
+//! fan-out, [`ingest_slice_parallel`]) applies the current one, with two
+//! chunk buffers resident.
 //! [`stream_into`] is the serial reference that path is tested against.
 //! The `batch` knob mirrors the CLI's `--batch`:
 //! edges handed to `process_batch` per call, `0` forcing the scalar
 //! per-edge path.
 
-use crate::concurrent::ConcurrentEstimator;
-use crate::CardinalityEstimator;
-use graphstream::{Edge, EdgeSource, EdgeStreamError, SnapshotError};
+use crate::{CardinalityEstimator, ConcurrentEstimator};
+use graphstream::{Edge, EdgeSource, EdgeStreamError};
 
 /// Default edges per reader chunk: 64k edges = 1 MiB of `Edge`s, large
 /// enough to amortize I/O and the batch pipeline, small enough that a
@@ -35,38 +35,17 @@ pub fn stream_into(
     chunk: usize,
     batch: usize,
 ) -> Result<u64, EdgeStreamError> {
-    stream_into_hooked(est, src, chunk, batch, &mut |_| Ok(()))
-}
-
-/// [`stream_into`] with a chunk-boundary hook: after each fully applied
-/// chunk (and once more at exhaustion), `hook(edges_so_far)` runs with the
-/// estimator in a consistent state — the seam incremental checkpointing
-/// plugs into.
-///
-/// # Errors
-/// Stops at the first source error or the first hook error; edges of
-/// earlier chunks have already been applied.
-// HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
-pub fn stream_into_hooked<E: From<EdgeStreamError>>(
-    est: &mut dyn CardinalityEstimator,
-    src: &mut dyn EdgeSource,
-    chunk: usize,
-    batch: usize,
-    hook: &mut dyn FnMut(u64) -> Result<(), E>,
-) -> Result<u64, E> {
     let chunk = chunk.max(1);
     let mut buf: Vec<Edge> = Vec::with_capacity(chunk);
     let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(if batch == 0 { 0 } else { chunk });
     let mut total = 0u64;
     loop {
-        let n = src.next_chunk(&mut buf, chunk).map_err(E::from)?;
+        let n = src.next_chunk(&mut buf, chunk)?;
         if n == 0 {
-            hook(total)?;
             return Ok(total);
         }
         ingest_slice(est, &buf, &mut pairs, batch);
         total += n as u64;
-        hook(total)?;
     }
 }
 
@@ -93,12 +72,50 @@ pub fn ingest_slice(
     }
 }
 
+/// Feeds one in-memory slice through a concurrent estimator with
+/// `threads` ingest threads: the slice is converted to bare pairs once
+/// (into the caller's reused `pairs` buffer), split into `threads`
+/// contiguous parts, and each part goes through the `&self` ingest path
+/// on its own scoped thread — `batch` edges per `ingest_batch` call, `0`
+/// forcing per-edge `ingest`. One part runs on the calling thread. All
+/// parts are joined before returning, so the estimator is quiescent
+/// afterwards (the property checkpointing relies on).
+// HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
+pub fn ingest_slice_parallel(
+    est: &dyn ConcurrentEstimator,
+    edges: &[Edge],
+    pairs: &mut Vec<(u64, u64)>,
+    batch: usize,
+    threads: usize,
+) {
+    let ingest_part = |part: &[(u64, u64)]| {
+        if batch == 0 {
+            for &(user, item) in part {
+                est.ingest(user, item);
+            }
+        } else {
+            for slice in part.chunks(batch) {
+                est.ingest_batch(slice);
+            }
+        }
+    };
+    pairs.clear();
+    pairs.extend(edges.iter().map(|e| e.pair()));
+    let part_len = pairs.len().div_ceil(threads.max(1)).max(1);
+    if part_len >= pairs.len() {
+        ingest_part(pairs);
+        return;
+    }
+    std::thread::scope(|s| {
+        for part in pairs.chunks(part_len) {
+            s.spawn(move || ingest_part(part));
+        }
+    });
+}
+
 /// Drives `src` to exhaustion through a concurrent estimator with
-/// `threads` ingest threads per chunk.
-///
-/// Each chunk is converted to bare pairs once, split into `threads`
-/// contiguous parts, and fed through the `&self` ingest path in parallel;
-/// the next chunk is read only after the previous one is fully applied, so
+/// `threads` ingest threads per chunk ([`ingest_slice_parallel`]); the
+/// next chunk is read only after the previous one is fully applied, so
 /// peak memory stays O(chunk) and the source needs no synchronization.
 ///
 /// # Errors
@@ -111,57 +128,17 @@ pub fn stream_into_parallel(
     batch: usize,
     threads: usize,
 ) -> Result<u64, EdgeStreamError> {
-    stream_into_parallel_hooked(est, src, chunk, batch, threads, &mut |_| Ok(()))
-}
-
-/// [`stream_into_parallel`] with a chunk-boundary hook. The hook runs
-/// between chunks — after the thread-scope join, the only quiescent points
-/// of the parallel drive — and once more at exhaustion, so it always sees
-/// a consistent estimator (the seam incremental checkpointing plugs into).
-///
-/// # Errors
-/// Stops at the first source error or the first hook error; edges of
-/// earlier chunks have already been applied.
-// HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
-pub fn stream_into_parallel_hooked<E: From<EdgeStreamError>>(
-    est: &dyn ConcurrentEstimator,
-    src: &mut dyn EdgeSource,
-    chunk: usize,
-    batch: usize,
-    threads: usize,
-    hook: &mut dyn FnMut(u64) -> Result<(), E>,
-) -> Result<u64, E> {
     let chunk = chunk.max(1);
-    let threads = threads.max(1);
     let mut buf: Vec<Edge> = Vec::with_capacity(chunk);
     let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(chunk);
     let mut total = 0u64;
     loop {
-        let n = src.next_chunk(&mut buf, chunk).map_err(E::from)?;
+        let n = src.next_chunk(&mut buf, chunk)?;
         if n == 0 {
-            hook(total)?;
             return Ok(total);
         }
-        pairs.clear();
-        pairs.extend(buf.iter().map(|e| e.pair()));
-        let part_len = n.div_ceil(threads).max(1);
-        std::thread::scope(|s| {
-            for part in pairs.chunks(part_len) {
-                s.spawn(move || {
-                    if batch == 0 {
-                        for &(user, item) in part {
-                            est.ingest(user, item);
-                        }
-                    } else {
-                        for slice in part.chunks(batch) {
-                            est.ingest_batch(slice);
-                        }
-                    }
-                });
-            }
-        });
+        ingest_slice_parallel(est, &buf, &mut pairs, batch, threads);
         total += n as u64;
-        hook(total)?;
     }
 }
 
@@ -186,46 +163,6 @@ pub fn skip_edges(src: &mut dyn EdgeSource, n: u64, chunk: usize) -> Result<u64,
         skipped += got as u64;
     }
     Ok(skipped)
-}
-
-/// Error of a checkpointed ingest drive: either the edge stream failed
-/// (I/O, corrupt trace) or writing a checkpoint snapshot did.
-#[derive(Debug)]
-pub enum IngestError {
-    /// The edge source failed.
-    Stream(EdgeStreamError),
-    /// Writing (or rotating) a checkpoint snapshot failed.
-    Snapshot(SnapshotError),
-}
-
-impl std::fmt::Display for IngestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Stream(e) => write!(f, "edge stream: {e}"),
-            Self::Snapshot(e) => write!(f, "checkpoint: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for IngestError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Stream(e) => Some(e),
-            Self::Snapshot(e) => Some(e),
-        }
-    }
-}
-
-impl From<EdgeStreamError> for IngestError {
-    fn from(e: EdgeStreamError) -> Self {
-        Self::Stream(e)
-    }
-}
-
-impl From<SnapshotError> for IngestError {
-    fn from(e: SnapshotError) -> Self {
-        Self::Snapshot(e)
-    }
 }
 
 #[cfg(test)]

@@ -12,9 +12,7 @@
 //! |-----------|--------------|--------|------------|
 //! | [`FreeBS`]  | bit array `B[1..M]`       | `&mut` | contribution (§IV-A) |
 //! | [`FreeRS`]  | registers `R[1..M]`       | `&mut` | contribution (§IV-B) |
-//! | [`ConcurrentFreeBS`] | atomic bit array  | `&self`, lock-free | extension |
-//! | [`ConcurrentFreeRS`] | atomic registers  | `&self`, lock-free | extension |
-//! | [`ShardedFreeBS`] / [`ShardedFreeRS`] | `P` sub-arrays, per-shard `q` | `&self`, parallel scale-out | extension |
+//! | [`ShardedFreeBS`] / [`ShardedFreeRS`] | `P` owned FreeBS/FreeRS shards, per-shard `q` | `&self`, one mutex per shard | extension |
 //! | [`Cse`]     | bit array + virtual LPC   | `&mut`, O(m) | baseline (Yoon et al.) |
 //! | [`VHll`]    | registers + virtual HLL   | `&mut`, O(m) | baseline (Xiao et al.) |
 //! | [`PerUserLpc`] / [`PerUserHllpp`] | one sketch per user | `&mut`, O(m) | baselines |
@@ -27,32 +25,22 @@
 //!
 //! ## Architecture
 //!
-//! The four FreeBS/FreeRS variants are instantiations of **two generic
-//! engines** over the [`bitpack::SlotStore`] /
-//! [`bitpack::ConcurrentSlotStore`] storage seam:
+//! FreeBS and FreeRS are instantiations of **one generic engine** over the
+//! [`bitpack::SlotStore`] storage seam: [`engine::SketchEngine`]`<S, Q>`,
+//! with [`FreeBS`] = `SketchEngine<BitArray, ZeroQ>` and [`FreeRS`] =
+//! `SketchEngine<PackedArray, IncrementalZ>`.
 //!
-//! * [`engine::SketchEngine`]`<S, Q>` — the exclusive (`&mut`) pipeline:
-//!   [`FreeBS`] = `SketchEngine<BitArray, ZeroQ>`, [`FreeRS`] =
-//!   `SketchEngine<PackedArray, IncrementalZ>`;
-//! * [`concurrent::ConcurrentEngine`]`<S, Q>` — the shared (`&self`)
-//!   pipeline: [`ConcurrentFreeBS`] = `ConcurrentEngine<AtomicBitArray,
-//!   SharedZeroQ>`, [`ConcurrentFreeRS`] =
-//!   `ConcurrentEngine<AtomicPackedArray, SharedZ>`.
-//!
-//! Each engine has one batch path, `process_batch`: fixed
+//! The engine has one batch path, `process_batch`: fixed
 //! [`INGEST_BLOCK`]-edge blocks, each a load-only warm pass followed by a
 //! write pass with `q` frozen at the block start. Nothing about it is
 //! tuned at run time.
 //!
-//! [`ShardedSketch`] composes `P` concurrent engines behind one estimator
-//! (per-shard `q`, HT sums merged across shards) and [`Windowed`] rotates
-//! `Arc`-owned slices of any estimator — including the concurrent ones,
-//! under parallel ingest — for sliding-window semantics.
-//!
-//! The `concurrent` module is public and its engines are re-exported at
-//! the crate root, so `freesketch::ConcurrentFreeBS` and
-//! `freesketch::concurrent::ConcurrentFreeBS` name the same type (and the
-//! same for `ConcurrentFreeRS`).
+//! Concurrency comes from owning engines, not from a second, lock-free
+//! engine: [`ShardedSketch`] routes each edge to one of `P` engines, each
+//! behind a mutex (per-shard `q`, HT sums merged across shards), and is
+//! the [`ConcurrentEstimator`] that many threads ingest through `&self`.
+//! [`Windowed`] rotates `Arc`-owned slices of any estimator — including a
+//! sharded one under parallel ingest — for sliding-window semantics.
 //!
 //! ```
 //! use freesketch::{CardinalityEstimator, FreeBS};
@@ -69,7 +57,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod concurrent;
 mod confidence;
 mod cse;
 pub mod engine;
@@ -95,16 +82,12 @@ mod window;
 /// tolerance through it.
 pub const INGEST_BLOCK: usize = 512;
 
-pub use concurrent::{ConcurrentEstimator, ConcurrentFreeBS, ConcurrentFreeRS};
 pub use confidence::{anytime_ci, ConfidenceTracking, EstimateWithCi, SamplingProbability};
 pub use cse::Cse;
 pub use engine::{IncrementalZ, QTracker, SketchEngine, ZeroQ};
 pub use freebs::FreeBS;
 pub use freers::FreeRS;
-pub use ingest::{
-    skip_edges, stream_into, stream_into_hooked, stream_into_parallel, stream_into_parallel_hooked,
-    IngestError,
-};
+pub use ingest::{ingest_slice_parallel, skip_edges, stream_into, stream_into_parallel};
 pub use jointlpc::JointLpc;
 pub use peruser::{PerUserHllpp, PerUserLpc};
 pub use sharded::{ShardedFreeBS, ShardedFreeRS, ShardedSketch};
@@ -130,8 +113,8 @@ pub trait CardinalityEstimator {
     /// Observes a slice of edges at once — the batched ingest fast path.
     ///
     /// The default implementation is a plain per-edge loop, so every
-    /// estimator gets the API for free; the FreeBS/FreeRS engines (scalar,
-    /// concurrent and sharded), [`Cse`] and [`VHll`] override it with
+    /// estimator gets the API for free; the FreeBS/FreeRS engines (scalar
+    /// and sharded), [`Cse`] and [`VHll`] override it with
     /// hand-optimized block pipelines (block hashing, software prefetch of
     /// the next block's array words, and amortized `q`/counter
     /// maintenance).
@@ -172,6 +155,26 @@ pub trait CardinalityEstimator {
     fn name(&self) -> &'static str;
 }
 
+/// Shared ingest: a cardinality estimator whose update path takes `&self`,
+/// so many threads can feed one instance (or a [`Windowed`] of them)
+/// concurrently. Queries come from the [`CardinalityEstimator`]
+/// supertrait — those are `&self` already. [`ShardedSketch`] is the
+/// shipped implementation.
+pub trait ConcurrentEstimator: CardinalityEstimator + Send + Sync {
+    /// Observes edge `(user, item)`; callable concurrently.
+    fn ingest(&self, user: u64, item: u64);
+
+    /// Observes a slice of edges — the batched fast path; callable
+    /// concurrently. Same contract as
+    /// [`CardinalityEstimator::process_batch`].
+    // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
+    fn ingest_batch(&self, edges: &[(u64, u64)]) {
+        for &(user, item) in edges {
+            self.ingest(user, item);
+        }
+    }
+}
+
 #[cfg(test)]
 mod trait_object_tests {
     use super::*;
@@ -185,8 +188,6 @@ mod trait_object_tests {
             Box::new(VHll::new(1 << 11, 128, 1)),
             Box::new(PerUserLpc::new(256, 1)),
             Box::new(PerUserHllpp::new(4, 1)),
-            Box::new(ConcurrentFreeBS::new(1 << 14, 1)),
-            Box::new(ConcurrentFreeRS::new(1 << 11, 1)),
             Box::new(ShardedFreeBS::new(1 << 14, 4, 1)),
             Box::new(ShardedFreeRS::new(1 << 11, 4, 1)),
         ];
@@ -209,7 +210,7 @@ mod trait_object_tests {
     #[test]
     fn concurrent_estimators_are_object_safe_too() {
         let all: Vec<Box<dyn ConcurrentEstimator>> = vec![
-            Box::new(ConcurrentFreeBS::new(1 << 14, 1)),
+            Box::new(ShardedFreeBS::new(1 << 14, 1, 1)),
             Box::new(ShardedFreeRS::new(1 << 11, 2, 1)),
         ];
         for est in &all {

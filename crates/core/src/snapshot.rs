@@ -23,14 +23,14 @@
 //! or truncated bytes must never panic and never produce a silently-wrong
 //! estimator.
 
-use crate::concurrent::{ConcurrentEngine, ConcurrentEstimator, SharedQTracker};
-use crate::ingest::{ingest_slice, IngestError};
-use crate::{CardinalityEstimator, FreeBS, FreeRS, ShardedFreeBS, ShardedFreeRS, ShardedSketch};
-use bitpack::ConcurrentSlotStore;
+use crate::ingest::{ingest_slice, ingest_slice_parallel};
+use crate::{
+    CardinalityEstimator, ConcurrentEstimator, FreeBS, FreeRS, ShardedFreeBS, ShardedFreeRS,
+};
 use graphstream::snapshot::{
     decode_value, encode_value, find_section, read_sections, write_sections,
 };
-use graphstream::{Edge, EdgeSource, SnapshotError};
+use graphstream::{Edge, SnapshotError};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -77,9 +77,9 @@ pub enum AnySketch {
     FreeBS(FreeBS),
     /// Sequential FreeRS (`SketchEngine<PackedArray, IncrementalZ>`).
     FreeRS(FreeRS),
-    /// Sharded concurrent FreeBS.
+    /// Sharded FreeBS (`P` mutex-owned FreeBS shards).
     ShardedFreeBS(ShardedFreeBS),
-    /// Sharded concurrent FreeRS.
+    /// Sharded FreeRS (`P` mutex-owned FreeRS shards).
     ShardedFreeRS(ShardedFreeRS),
 }
 
@@ -158,9 +158,8 @@ impl AnySketch {
         match self {
             Self::FreeBS(e) => e.store().validate().map_err(malformed)?,
             Self::FreeRS(e) => e.store().validate().map_err(malformed)?,
-            // Sharded stores are rebuilt at thaw from frozen arrays that
-            // were validated during deserialization, so their invariants
-            // hold by construction.
+            // Sharded stores are validated shard by shard when the
+            // sketch is deserialized.
             Self::ShardedFreeBS(_) | Self::ShardedFreeRS(_) => {}
         }
         let mut bad: Option<(u64, f64)> = None;
@@ -205,10 +204,11 @@ impl AnySketch {
     }
 
     /// Applies one in-memory chunk: scalar kinds run the sequential block
-    /// pipeline, sharded kinds split the chunk over `threads` ingest
-    /// threads (joined before returning, so the sketch is quiescent
-    /// afterwards — the property checkpointing relies on). `pairs` is a
-    /// scratch buffer the caller reuses across chunks.
+    /// pipeline ([`ingest_slice`]), sharded kinds split the chunk over
+    /// `threads` ingest threads ([`ingest_slice_parallel`], joined before
+    /// returning, so the sketch is quiescent afterwards — the property
+    /// checkpointing relies on). `pairs` is a scratch buffer the caller
+    /// reuses across chunks.
     pub fn apply_chunk(
         &mut self,
         buf: &[Edge],
@@ -219,8 +219,8 @@ impl AnySketch {
         match self {
             Self::FreeBS(e) => ingest_slice(e, buf, pairs, batch),
             Self::FreeRS(e) => ingest_slice(e, buf, pairs, batch),
-            Self::ShardedFreeBS(s) => apply_chunk_parallel(s, buf, pairs, batch, threads),
-            Self::ShardedFreeRS(s) => apply_chunk_parallel(s, buf, pairs, batch, threads),
+            Self::ShardedFreeBS(s) => ingest_slice_parallel(s, buf, pairs, batch, threads),
+            Self::ShardedFreeRS(s) => ingest_slice_parallel(s, buf, pairs, batch, threads),
         }
     }
 
@@ -242,98 +242,22 @@ impl AnySketch {
     /// which assume the most conservative `q` any credited edge saw.
     #[must_use]
     pub fn sampling_q(&self) -> f64 {
-        fn min_q<S: ConcurrentSlotStore, Q: SharedQTracker<S>>(s: &ShardedSketch<S, Q>) -> f64 {
-            s.shards()
-                .iter()
-                .map(ConcurrentEngine::q)
-                .fold(f64::INFINITY, f64::min)
-        }
         match self {
             Self::FreeBS(e) => e.q(),
             Self::FreeRS(e) => e.q(),
-            Self::ShardedFreeBS(s) => min_q(s),
-            Self::ShardedFreeRS(s) => min_q(s),
+            Self::ShardedFreeBS(s) => s.min_q(),
+            Self::ShardedFreeRS(s) => s.min_q(),
         }
     }
 
     /// Number of distinct users tracked — what counting
     /// [`CardinalityEstimator::for_each_estimate`] calls gives, without
     /// the walk for the scalar kinds and a one-shard sharded sketch (see
-    /// [`ShardedSketch::user_count`]).
+    /// [`crate::ShardedSketch::user_count`]).
     #[must_use]
     pub fn user_count(&self) -> usize {
         dispatch!(self, e => e.user_count())
     }
-
-    /// Drives `src` to exhaustion, checkpointing through `ckpt` at chunk
-    /// boundaries (the quiescent points) once at least its interval's
-    /// worth of new edges has accumulated, plus a final checkpoint at
-    /// stream end. `base_edges` is the stream offset already applied to
-    /// this sketch (non-zero when resuming from a restored checkpoint),
-    /// so recorded offsets are absolute.
-    ///
-    /// Returns the number of edges ingested by *this* call.
-    ///
-    /// # Errors
-    /// Stops at the first stream or checkpoint-write error; the sketch
-    /// keeps every chunk applied so far, and the newest on-disk
-    /// checkpoint stays consistent (a torn write only ever affects the
-    /// temp file).
-    pub fn ingest_checkpointed(
-        &mut self,
-        src: &mut dyn EdgeSource,
-        chunk: usize,
-        batch: usize,
-        threads: usize,
-        ckpt: &mut Checkpointer,
-        base_edges: u64,
-    ) -> Result<u64, IngestError> {
-        let chunk = chunk.max(1);
-        let mut buf: Vec<Edge> = Vec::with_capacity(chunk);
-        let mut pairs: Vec<(u64, u64)> = Vec::new();
-        let mut ingested = 0u64;
-        loop {
-            let n = src
-                .next_chunk(&mut buf, chunk)
-                .map_err(IngestError::Stream)?;
-            if n == 0 {
-                ckpt.checkpoint_now(self, base_edges + ingested)?;
-                return Ok(ingested);
-            }
-            self.apply_chunk(&buf, &mut pairs, batch, threads);
-            ingested += n as u64;
-            ckpt.maybe_checkpoint(self, base_edges + ingested)?;
-        }
-    }
-}
-
-/// Parallel chunk application for sharded kinds (mirrors
-/// [`crate::ingest::stream_into_parallel`]'s per-chunk body).
-fn apply_chunk_parallel(
-    est: &dyn ConcurrentEstimator,
-    buf: &[Edge],
-    pairs: &mut Vec<(u64, u64)>,
-    batch: usize,
-    threads: usize,
-) {
-    pairs.clear();
-    pairs.extend(buf.iter().map(|e| e.pair()));
-    let part_len = pairs.len().div_ceil(threads.max(1)).max(1);
-    std::thread::scope(|s| {
-        for part in pairs.chunks(part_len) {
-            s.spawn(move || {
-                if batch == 0 {
-                    for &(user, item) in part {
-                        est.ingest(user, item);
-                    }
-                } else {
-                    for slice in part.chunks(batch) {
-                        est.ingest_batch(slice);
-                    }
-                }
-            });
-        }
-    });
 }
 
 impl CardinalityEstimator for AnySketch {
@@ -397,16 +321,15 @@ fn split_value(
     let serde::Value::Seq(shards) = take_field(&mut entries, "shards")? else {
         return Err(malformed("`shards` must be a sequence"));
     };
+    // Each shard is a serialized engine: split it like a scalar sketch.
     let mut stores = Vec::with_capacity(shards.len());
     let mut counters = Vec::with_capacity(shards.len());
     let mut rests = Vec::with_capacity(shards.len());
     for shard in shards {
-        let serde::Value::Map(mut m) = shard else {
-            return Err(malformed("each shard must be a map"));
-        };
-        stores.push(take_field(&mut m, "store")?);
-        counters.push(take_field(&mut m, "counters")?);
-        rests.push(serde::Value::Map(m));
+        let (rest, store, counter) = split_value(false, shard)?;
+        rests.push(rest);
+        stores.push(store);
+        counters.push(counter);
     }
     entries.push(("shards".to_string(), serde::Value::Seq(rests)));
     Ok((
@@ -448,15 +371,12 @@ fn join_value(
             counters.len()
         )));
     }
-    let mut shards = Vec::with_capacity(rests.len());
-    for ((rest, store), counter) in rests.into_iter().zip(stores).zip(counters) {
-        let serde::Value::Map(mut m) = rest else {
-            return Err(malformed("each shard config must be a map"));
-        };
-        m.push(("store".to_string(), store));
-        m.push(("counters".to_string(), counter));
-        shards.push(serde::Value::Map(m));
-    }
+    let shards = rests
+        .into_iter()
+        .zip(stores)
+        .zip(counters)
+        .map(|((rest, store), counter)| join_value(false, rest, store, counter))
+        .collect::<Result<_, _>>()?;
     entries.push(("shards".to_string(), serde::Value::Seq(shards)));
     Ok(serde::Value::Map(entries))
 }
@@ -723,7 +643,6 @@ fn try_load(path: &Path) -> Result<Option<(AnySketch, u64)>, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphstream::SliceSource;
 
     fn edges(n: u64, salt: u64) -> Vec<Edge> {
         (0..n)
@@ -810,7 +729,7 @@ mod tests {
             a.merge(&c),
             Err(SnapshotError::ConfigMismatch { .. })
         ));
-        let sa = ShardedFreeBS::new(1 << 12, 4, 3);
+        let mut sa = ShardedFreeBS::new(1 << 12, 4, 3);
         let sb = ShardedFreeBS::new(1 << 12, 8, 3);
         assert!(matches!(
             sa.merge(&sb),
@@ -865,8 +784,26 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// Feeds `es` in `chunk`-edge chunks, offering `ckpt` a checkpoint
+    /// after each one and writing the final one at the end — the order the
+    /// CLI runner drives a checkpointer in.
+    fn checkpointed(
+        sketch: &mut AnySketch,
+        es: &[Edge],
+        chunk: usize,
+        ckpt: &mut Checkpointer,
+    ) -> Result<(), SnapshotError> {
+        let mut seen = 0u64;
+        for part in es.chunks(chunk) {
+            ingest(sketch, part);
+            seen += part.len() as u64;
+            ckpt.maybe_checkpoint(sketch, seen)?;
+        }
+        ckpt.checkpoint_now(sketch, seen)
+    }
+
     #[test]
-    fn checkpointed_ingest_writes_at_interval_and_eof() {
+    fn checkpointer_writes_at_interval_and_eof() {
         let dir = std::env::temp_dir().join(format!(
             "freesketch-ckpt-{}-{}",
             std::process::id(),
@@ -874,14 +811,9 @@ mod tests {
         ));
         fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("sketch.fsnp");
-        let es = edges(10_000, 5);
         let mut sketch = AnySketch::FreeRS(FreeRS::new(1 << 10, 3));
         let mut ckpt = Checkpointer::new(&path, 4_000);
-        let mut src = SliceSource::new(&es);
-        let n = sketch
-            .ingest_checkpointed(&mut src, 1_000, 512, 1, &mut ckpt, 0)
-            .expect("clean ingest");
-        assert_eq!(n, 10_000);
+        checkpointed(&mut sketch, &edges(10_000, 5), 1_000, &mut ckpt).expect("clean ingest");
         // Interval checkpoints at 4k and 8k, plus the final one at EOF.
         assert_eq!(ckpt.checkpoints_written(), 3);
         let (_, offset, _) = load_with_fallback(&path)
@@ -900,12 +832,9 @@ mod tests {
         ));
         fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("sketch.fsnp");
-        let es = edges(10_000, 6);
         let mut sketch = AnySketch::FreeBS(FreeBS::new(1 << 12, 3));
         let mut ckpt = Checkpointer::new(&path, 3_000).with_crash_after(Some(1));
-        let mut src = SliceSource::new(&es);
-        let err = sketch
-            .ingest_checkpointed(&mut src, 1_000, 0, 1, &mut ckpt, 0)
+        let err = checkpointed(&mut sketch, &edges(10_000, 6), 1_000, &mut ckpt)
             .expect_err("fault injection fires");
         assert!(err.to_string().contains("simulated crash"), "{err}");
         // Exactly one checkpoint (at 3k edges) landed before the crash and
@@ -1020,21 +949,23 @@ mod tests {
         let mut sketch = AnySketch::ShardedFreeBS(ShardedFreeBS::new(1 << 10, 2, 3));
         // Fill the shards unevenly so their q values differ.
         ingest(&mut sketch, &edges(600, 6));
-        let AnySketch::ShardedFreeBS(s) = &sketch else {
+        let q = sketch.sampling_q();
+        let AnySketch::ShardedFreeBS(s) = sketch else {
             unreachable!()
         };
-        let shard_q: Vec<f64> = s.shards().iter().map(ConcurrentEngine::q).collect();
+        assert!(q < s.q(), "minimum sits below the mean");
+        let shard_q: Vec<f64> = s.into_shards().iter().map(FreeBS::q).collect();
         assert_eq!(shard_q.len(), 2);
         assert_ne!(shard_q[0], shard_q[1], "shards should differ");
-        assert_eq!(sketch.sampling_q(), shard_q[0].min(shard_q[1]));
-        assert!(sketch.sampling_q() < s.q(), "minimum sits below the mean");
+        assert_eq!(q, shard_q[0].min(shard_q[1]));
 
         // One shard: the minimum is that shard's own q.
         let mut one = AnySketch::ShardedFreeRS(ShardedFreeRS::new(1 << 10, 1, 3));
         ingest(&mut one, &edges(600, 6));
-        let AnySketch::ShardedFreeRS(s) = &one else {
+        let q = one.sampling_q();
+        let AnySketch::ShardedFreeRS(s) = one else {
             unreachable!()
         };
-        assert_eq!(one.sampling_q(), s.shards()[0].q());
+        assert_eq!(q, s.into_shards()[0].q());
     }
 }

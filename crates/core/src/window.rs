@@ -17,14 +17,13 @@
 //!   copy-on-write, so an outstanding snapshot stays frozen while the
 //!   window moves on;
 //! * **shared** ([`Windowed::ingest`], any `E:` [`ConcurrentEstimator`],
-//!   e.g. `ConcurrentFreeBS` or [`crate::ShardedSketch`]): many threads
+//!   i.e. a [`crate::ShardedSketch`] of mutex-owned engines): many threads
 //!   feed the window through `&self`; slice rotation is coordinated by a
 //!   monotone edge counter (exactly one thread performs each rotation) and
 //!   an `RwLock` around the slice deque that ingest only read-locks.
 //!   Edges already in flight when a rotation fires may land in the
 //!   just-retired slice — a bounded skew of at most the number of
-//!   in-flight edges, the same order as the concurrent estimators' `q`
-//!   staleness.
+//!   in-flight edges.
 //!
 //! Semantics: the window estimate counts a user–item pair once *per slice
 //! in which it appears as new*. For pairs that recur across slices this
@@ -34,8 +33,7 @@
 //! Within a slice the estimate is exactly as unbiased as the wrapped
 //! estimator. Tests pin both properties.
 
-use crate::concurrent::ConcurrentEstimator;
-use crate::CardinalityEstimator;
+use crate::{CardinalityEstimator, ConcurrentEstimator};
 use parking_lot::RwLock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,7 +119,7 @@ impl<E> Windowed<E> {
     /// `Arc` snapshots of the live slices, oldest first. Cheap (`P` Arc
     /// clones under a read lock); in exclusive mode later mutation
     /// copies-on-write, in shared mode snapshots see concurrent updates to
-    /// still-live slices, as the concurrent estimators' anytime reads do.
+    /// still-live slices, as the sharded sketch's anytime reads do.
     #[must_use]
     pub fn snapshot(&self) -> Vec<Arc<E>> {
         self.slices.read().iter().cloned().collect()
@@ -165,7 +163,7 @@ impl<E: CardinalityEstimator + Clone> Windowed<E> {
     }
 }
 
-/// Shared ingest: any [`ConcurrentEstimator`] (lock-free or sharded), fed
+/// Shared ingest: any [`ConcurrentEstimator`] (a sharded sketch), fed
 /// from many threads through `&self`.
 impl<E: ConcurrentEstimator> Windowed<E> {
     /// Observes one edge; callable concurrently.

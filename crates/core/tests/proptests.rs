@@ -339,14 +339,27 @@ proptest! {
     }
 
     /// Sharded estimates decompose exactly: routing every edge by hand to
-    /// P independent concurrent engines reproduces `ShardedSketch`'s
-    /// per-user estimates, and replaying the stream changes nothing
-    /// (global dedup across shards).
+    /// P independent scalar engines (seeded `mix64(seed, p)`, `M/P` slots
+    /// each) reproduces `ShardedSketch`'s per-user estimates and shard
+    /// arrays bit for bit, and replaying the stream changes nothing
+    /// (global dedup across shards). Through `process_batch` the arrays
+    /// are the same too; only the block-frozen `q` moves the estimates.
     #[test]
-    fn sharded_decomposes_and_deduplicates(stream in edges(), seed: u64) {
-        let sharded = freesketch::ShardedFreeBS::new(1 << 14, 4, seed);
+    fn sharded_decomposes_and_deduplicates(stream in edges(), seed: u64, shards_sel in 0u32..3) {
+        let p = 1usize << shards_sel; // 1, 2 or 4
+        let sharded = freesketch::ShardedFreeBS::new(1 << 14, p, seed);
+        let batched = freesketch::ShardedFreeBS::new(1 << 14, p, seed);
+        let mut engines: Vec<FreeBS> = (0..p)
+            .map(|i| FreeBS::new((1 << 14) / p, hashkit::mix64(seed, i as u64)))
+            .collect();
         for &(u, d) in &stream {
             sharded.process(u, d);
+            engines[sharded.route(u, d)].process(u, d);
+        }
+        batched.process_batch(&stream);
+        for u in 0..32u64 {
+            let by_hand: f64 = engines.iter().map(|e| e.estimate(u)).sum();
+            prop_assert_eq!(sharded.estimate(u).to_bits(), by_hand.to_bits(), "user {}", u);
         }
         let before: Vec<f64> = (0..32).map(|u| sharded.estimate(u)).collect();
         // Per-shard HT sums compose: the total is the sum over shards,
@@ -360,13 +373,23 @@ proptest! {
         }
         let after: Vec<f64> = (0..32).map(|u| sharded.estimate(u)).collect();
         prop_assert_eq!(before, after, "sharded replay must be absorbed");
+        for ((shard, batch), engine) in sharded
+            .into_shards()
+            .iter()
+            .zip(batched.into_shards())
+            .zip(&engines)
+        {
+            prop_assert_eq!(shard.bit_array(), engine.bit_array());
+            prop_assert_eq!(batch.bit_array(), engine.bit_array());
+        }
     }
 }
 
 /// Multi-thread sharded stress: 4 threads splitting one stream must land
 /// within a small skew of the same sharded estimator fed sequentially —
-/// the only nondeterminism is the bounded q staleness across in-flight
-/// updates, far below the estimator's own noise.
+/// the only nondeterminism is the order in which the threads' sub-batches
+/// take each shard's lock, which moves the block-frozen `q` far below the
+/// estimator's own noise.
 #[test]
 fn sharded_parallel_ingest_bounds_skew_vs_sequential() {
     let users = 16u64;

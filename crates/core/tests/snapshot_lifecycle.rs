@@ -4,10 +4,8 @@
 //! split shards must be statistically equivalent to one engine ingesting
 //! the whole stream.
 
-use freesketch::snapshot::{load_snapshot, load_with_fallback, save_snapshot, Checkpointer};
-use freesketch::{
-    skip_edges, stream_into, AnySketch, CardinalityEstimator, FreeBS, FreeRS, ShardedFreeBS,
-};
+use freesketch::snapshot::{load_snapshot, load_with_fallback, save_snapshot};
+use freesketch::{stream_into, AnySketch, CardinalityEstimator, FreeBS, FreeRS, ShardedFreeBS};
 use graphstream::{Edge, Fault, FaultReader, FaultWriter, SliceSource};
 use proptest::prelude::*;
 
@@ -187,68 +185,61 @@ proptest! {
     }
 }
 
-/// End-to-end crash drill (the library-level twin of the CLI smoke):
-/// checkpoint during ingest, "crash" via fault injection, restore from the
-/// last good checkpoint, fast-forward the stream, resume — and land on
-/// exactly the estimates of an uninterrupted run.
+/// Sharded snapshots written before shards became owned scalar engines
+/// (`tests/fixtures/legacy-sharded`, see its README) still load: every
+/// user's estimate is bit-identical to what the old code loaded, the
+/// sampling probability agrees to 1e-12, and the sketch keeps ingesting.
 #[test]
-fn crash_restore_resume_equals_uninterrupted() {
-    let dir = std::env::temp_dir().join(format!("freesketch-crashdrill-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("drill.fsnp");
-    let trace: Vec<Edge> = (0..50_000u64)
-        .map(|i| Edge::new(i % 64, hashkit::splitmix64(i) >> 18))
-        .collect();
-    let (chunk, batch, every) = (4096usize, 512usize, 10_000u64);
+fn legacy_sharded_snapshots_load_bit_identically() {
+    let dir =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy-sharded");
+    for (name, kind) in [
+        ("freebs-t2", "sharded-freebs"),
+        ("freers-t2", "sharded-freers"),
+        ("serve-t1", "sharded-freers"),
+    ] {
+        let (mut sketch, offset, used_fallback) =
+            load_with_fallback(&dir.join(format!("{name}.fsnp")))
+                .expect("legacy snapshot loads")
+                .expect("fixture exists");
+        assert!(!used_fallback, "{name}");
+        assert_eq!((sketch.kind(), offset), (kind, 20_000), "{name}");
 
-    let mut whole = AnySketch::FreeBS(FreeBS::new(1 << 16, 11));
-    let mut src = SliceSource::new(&trace);
-    stream_into(&mut whole, &mut src, chunk, batch).expect("clean source");
+        let expected = std::fs::read_to_string(dir.join(format!("{name}.estimates")))
+            .expect("fixture estimates");
+        let hex = |s: &str| u64::from_str_radix(s, 16).expect("hex field");
+        let mut users = 0usize;
+        for line in expected.lines().filter(|l| !l.starts_with('#')) {
+            let (key, value) = line.split_once(' ').expect("two fields");
+            if key == "sampling_q" {
+                let (got, want) = (sketch.sampling_q(), f64::from_bits(hex(value)));
+                assert!(
+                    (got / want - 1.0).abs() < 1e-12,
+                    "{name}: q {got} vs {want}"
+                );
+            } else {
+                let (user, want) = (hex(key), hex(value));
+                assert_eq!(
+                    sketch.estimate(user).to_bits(),
+                    want,
+                    "{name}: user {user:x}"
+                );
+                users += 1;
+            }
+        }
+        assert_eq!(sketch.user_count(), users, "{name}");
 
-    // First attempt dies after two checkpoints.
-    let mut sketch = AnySketch::FreeBS(FreeBS::new(1 << 16, 11));
-    let mut ckpt = Checkpointer::new(&path, every).with_crash_after(Some(2));
-    let mut src = SliceSource::new(&trace);
-    let err = sketch
-        .ingest_checkpointed(&mut src, chunk, batch, 1, &mut ckpt, 0)
-        .expect_err("simulated crash fires");
-    assert!(err.to_string().contains("simulated crash"), "{err}");
-
-    // Recovery: restore the last good checkpoint, skip what it already
-    // saw, resume to the end.
-    let (mut resumed, offset, used_fallback) = load_with_fallback(&path)
-        .expect("restore")
-        .expect("checkpoints were written");
-    assert!(!used_fallback, "newest checkpoint is intact");
-    assert!(offset > 0 && offset < trace.len() as u64);
-    assert_eq!(
-        offset % chunk as u64,
-        0,
-        "checkpoints land on chunk boundaries"
-    );
-    let mut src = SliceSource::new(&trace);
-    let skipped = skip_edges(&mut src, offset, chunk).expect("clean source");
-    assert_eq!(skipped, offset);
-    let mut ckpt = Checkpointer::new(&path, every).starting_from(offset);
-    resumed
-        .ingest_checkpointed(&mut src, chunk, batch, 1, &mut ckpt, offset)
-        .expect("clean resume");
-
-    for u in 0..64u64 {
-        assert_eq!(
-            resumed.estimate(u),
-            whole.estimate(u),
-            "user {u} diverged after crash recovery"
-        );
+        // The restored sketch is a live one: new edges still count, and it
+        // round-trips through the current snapshot format unchanged.
+        let before = sketch.total_estimate();
+        let fresh: Vec<(u64, u64)> = (0..1_000u64).map(|i| (i % 7, u64::MAX - i)).collect();
+        sketch.process_batch(&fresh);
+        assert!(sketch.total_estimate() > before, "{name}");
+        let bytes = snapshot_bytes(&sketch, offset + fresh.len() as u64);
+        let (again, _) = load_snapshot(&mut bytes.as_slice()).expect("current format loads");
+        assert_eq!(again.total_estimate(), sketch.total_estimate(), "{name}");
+        assert_eq!(again.sampling_q(), sketch.sampling_q(), "{name}");
     }
-    assert_eq!(resumed.total_estimate(), whole.total_estimate());
-
-    // The final checkpoint records the full stream.
-    let (_, final_offset, _) = load_with_fallback(&path)
-        .expect("restore final")
-        .expect("final checkpoint exists");
-    assert_eq!(final_offset, trace.len() as u64);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Sharded sketches go through the same lifecycle: snapshot, restore,

@@ -32,7 +32,6 @@ mod family;
 mod fxmap;
 mod mix;
 mod rank;
-mod sharded;
 mod xxhash;
 
 pub use countermap::CounterMap;
@@ -40,7 +39,6 @@ pub use family::{HashFamily, UserItemHasher};
 pub use fxmap::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use mix::{mix64, mix64_pair, splitmix64, SplitMix64};
 pub use rank::{geometric_rank, Rank};
-pub use sharded::ShardedCounterMap;
 pub use xxhash::{xxhash64, XxHash64};
 
 /// Hashes one user–item pair into a `(slot, rank)` pair, the way FreeRS needs

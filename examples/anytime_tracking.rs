@@ -4,15 +4,14 @@
 //! that just arrived, and a full refresh costs O(m) per user).
 //!
 //! Also demonstrates the concurrent extension: the same stream processed
-//! from four threads into one shared `ConcurrentFreeBS` lands on the same
-//! answers.
+//! from four threads into one shared `ShardedFreeBS` (four mutex-owned
+//! FreeBS shards) lands on the same answers.
 //!
 //! ```text
 //! cargo run --release --example anytime_tracking
 //! ```
 
-use freesketch::concurrent::ConcurrentFreeBS;
-use freesketch::{CardinalityEstimator, FreeBS};
+use freesketch::{CardinalityEstimator, FreeBS, ShardedFreeBS};
 use std::sync::Arc;
 
 fn main() {
@@ -46,8 +45,8 @@ fn main() {
     }
 
     // Concurrent variant: four threads, one shared sketch, same semantics.
-    println!("\nconcurrent: 4 threads × 25k items each into one shared array");
-    let conc = Arc::new(ConcurrentFreeBS::new(m_bits, 9));
+    println!("\nconcurrent: 4 threads × 25k items each into one sharded sketch");
+    let conc = Arc::new(ShardedFreeBS::new(m_bits, 4, 9));
     std::thread::scope(|s| {
         for t in 0..4u64 {
             let conc = Arc::clone(&conc);

@@ -20,6 +20,7 @@ for run in 1 2 3 4 5; do
     --lib --test serve_shutdown --test serve_stress
   env -u RUST_TEST_THREADS cargo test -q -p freesketch-suite \
     --test serve_e2e --test concurrent_equivalence
+  env -u RUST_TEST_THREADS cargo test -q -p freesketch --lib
 done
 
 echo "==> perfbench tests (the benchmark's own unit tests; its own package)"
@@ -152,6 +153,17 @@ grep -q "restored checkpoint" "$tmp/resumed.txt" || {
 tail -n +2 "$tmp/resumed.txt" | diff -u "$tmp/ref.txt" - || {
   echo "resumed estimate differs from uninterrupted run"; exit 1;
 }
+
+echo "==> legacy sharded snapshots (written before shards were owned engines) restore unchanged"
+# Each fixture's `restore --top 20` output was recorded by the binary
+# that wrote it; see crates/core/tests/fixtures/legacy-sharded/README.md.
+legacy=crates/core/tests/fixtures/legacy-sharded
+for name in freebs-t2 freers-t2 serve-t1; do
+  ./target/release/freesketch restore "$legacy/$name.fsnp" --top 20 > "$tmp/legacy-$name.txt"
+  diff -u "$legacy/$name.restore.txt" "$tmp/legacy-$name.txt" || {
+    echo "legacy snapshot $name restores differently"; exit 1;
+  }
+done
 
 echo "==> snapshot merge smoke (split halves vs whole trace)"
 half=$(( (edges + 1) / 2 ))

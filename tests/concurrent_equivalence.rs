@@ -1,25 +1,34 @@
-//! Concurrent-extension integration: the lock-free FreeBS variant must
-//! agree with the sequential reference on real workloads.
+//! Concurrent-extension integration: the sharded FreeBS of mutex-owned
+//! engines must agree with the sequential reference on real workloads.
 
-use freesketch::concurrent::ConcurrentFreeBS;
-use freesketch::{CardinalityEstimator, FreeBS};
+use freesketch::{CardinalityEstimator, FreeBS, ShardedFreeBS};
 use graphstream::{GroundTruth, SynthConfig};
 use std::sync::Arc;
 
 #[test]
 fn sequential_replay_is_bit_identical() {
+    // One shard routes nothing: it is the scalar engine (seeded with the
+    // first per-shard seed), for the per-edge and the batch calls alike.
     let stream = SynthConfig::tiny(21).generate();
-    let conc = ConcurrentFreeBS::new(1 << 18, 4);
-    let mut seq = FreeBS::new(1 << 18, 4);
-    for e in stream.edges() {
-        conc.process(e.user, e.item);
-        seq.process(e.user, e.item);
+    let pairs: Vec<(u64, u64)> = stream.edges().iter().map(|e| e.pair()).collect();
+    let (head, tail) = pairs.split_at(pairs.len() / 3);
+    let conc = ShardedFreeBS::new(1 << 18, 1, 4);
+    let mut seq = FreeBS::new(1 << 18, hashkit::mix64(4, 0));
+    for &(user, item) in head {
+        conc.process(user, item);
+        seq.process(user, item);
     }
-    let snap = conc.snapshot_estimates();
+    for slice in tail.chunks(1000) {
+        conc.process_batch(slice);
+        seq.process_batch(slice);
+    }
+    let snap = conc.merged_estimates();
     assert_eq!(snap.len(), seq.user_count());
-    for (&user, &est) in &snap {
-        assert_eq!(est, seq.estimate(user), "user {user}");
-    }
+    snap.for_each(&mut |user, est| {
+        assert_eq!(est.to_bits(), seq.estimate(user).to_bits(), "user {user}");
+    });
+    assert_eq!(conc.total_estimate(), seq.total_estimate());
+    assert_eq!(conc.q(), seq.q());
 }
 
 #[test]
@@ -37,7 +46,7 @@ fn parallel_processing_matches_truth_within_noise() {
         truth.observe(*e);
     }
 
-    let conc = Arc::new(ConcurrentFreeBS::new(1 << 19, 6));
+    let conc = Arc::new(ShardedFreeBS::new(1 << 19, 4, 6));
     let threads = 8;
     let chunk = stream.len().div_ceil(threads);
     std::thread::scope(|s| {
@@ -80,14 +89,19 @@ fn contended_duplicates_stay_deduplicated() {
     for e in stream.edges() {
         truth.observe(*e);
     }
-    let conc = Arc::new(ConcurrentFreeBS::new(1 << 19, 8));
+    let conc = Arc::new(ShardedFreeBS::new(1 << 19, 4, 8));
+    let pairs: Vec<(u64, u64)> = stream.edges().iter().map(|e| e.pair()).collect();
     std::thread::scope(|s| {
-        for _ in 0..4 {
+        for t in 0..4 {
             let conc = Arc::clone(&conc);
-            let edges = stream.edges();
+            let pairs = &pairs;
             s.spawn(move || {
-                for e in edges {
-                    conc.process(e.user, e.item);
+                if t % 2 == 0 {
+                    conc.process_batch(pairs);
+                } else {
+                    for &(user, item) in pairs {
+                        conc.process(user, item);
+                    }
                 }
             });
         }
