@@ -76,10 +76,11 @@ pub fn ingest_slice(
 /// `threads` ingest threads: the slice is converted to bare pairs once
 /// (into the caller's reused `pairs` buffer), split into `threads`
 /// contiguous parts, and each part goes through the `&self` ingest path
-/// on its own scoped thread — `batch` edges per `ingest_batch` call, `0`
-/// forcing per-edge `ingest`. One part runs on the calling thread. All
-/// parts are joined before returning, so the estimator is quiescent
-/// afterwards (the property checkpointing relies on).
+/// on its own thread — `batch` edges per `ingest_batch` call, `0`
+/// forcing per-edge `ingest`. The first part runs on the calling thread,
+/// the others on scoped threads, so one thread spawns nothing. All parts
+/// are joined before returning, so the estimator is quiescent afterwards
+/// (the property checkpointing relies on).
 // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
 pub fn ingest_slice_parallel(
     est: &dyn ConcurrentEstimator,
@@ -102,14 +103,17 @@ pub fn ingest_slice_parallel(
     pairs.clear();
     pairs.extend(edges.iter().map(|e| e.pair()));
     let part_len = pairs.len().div_ceil(threads.max(1)).max(1);
-    if part_len >= pairs.len() {
-        ingest_part(pairs);
+    let (first, rest) = pairs.split_at(part_len.min(pairs.len()));
+    if rest.is_empty() {
+        // One part: no scope, which would allocate its shared state.
+        ingest_part(first);
         return;
     }
     std::thread::scope(|s| {
-        for part in pairs.chunks(part_len) {
+        for part in rest.chunks(part_len) {
             s.spawn(move || ingest_part(part));
         }
+        ingest_part(first);
     });
 }
 

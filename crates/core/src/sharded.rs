@@ -50,8 +50,8 @@ pub struct ShardedSketch<S, Q> {
 }
 
 impl<S: SlotStore, Q: QTracker<S>> ShardedSketch<S, Q> {
-    /// `shards` (rounded up to a power of two) engines built by
-    /// `engine(i, seed_i)` with the per-shard seed `mix64(seed, i)`.
+    /// `P = shards` (rounded up to a power of two) engines, shard `i`
+    /// built by `engine(P, mix64(seed, i))`.
     fn build(shards: usize, seed: u64, engine: impl Fn(usize, u64) -> SketchEngine<S, Q>) -> Self {
         let p = shards.max(1).next_power_of_two();
         Self {
