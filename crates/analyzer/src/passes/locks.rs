@@ -4,10 +4,11 @@
 //! files and skipping `#[cfg(test)] mod` bodies:
 //!
 //! * `std::sync::Mutex` / `std::sync::RwLock` are banned. The vendored
-//!   `parking_lot` is the only lock supplier: `core::concurrent` and the
-//!   sharded counter maps rely on its non-poisoning semantics (a panicking
-//!   writer must not wedge every later reader with a `PoisonError`), so a
-//!   stray std lock is a semantic regression, not a style nit.
+//!   `parking_lot` is the only lock supplier: the sharded sketch's shard
+//!   mutexes and the serve daemon rely on its non-poisoning semantics (a
+//!   panicking writer must not wedge every later reader with a
+//!   `PoisonError`), so a stray std lock is a semantic regression, not a
+//!   style nit.
 //! * `.unwrap()`, `.expect(`, and `panic!` are banned: library code
 //!   returns `Result` or argues an allowlist entry. Test modules,
 //!   `tests/`, `benches/`, `src/bin/` and `examples/` are exempt — panics

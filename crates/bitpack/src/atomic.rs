@@ -1,4 +1,5 @@
-//! Lock-free bit array for the concurrent FreeBS extension.
+//! Lock-free bit array. No estimator uses it since the sharded sketch
+//! owns scalar engines; the benchmark still times it as a layer.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -8,10 +9,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// The zero count is maintained with a relaxed atomic counter, decremented
 /// only by the thread that actually flips a bit (the `fetch_or` winner), so
 /// it is exact once all writers quiesce. During concurrent operation a reader
-/// may observe a count that lags individual flips by a few updates — the
-/// concurrent FreeBS estimator tolerates this (it perturbs `q` by at most
-/// `k/M` for `k` in-flight updates), and `freesketch::concurrent` tests bound
-/// the resulting estimate skew.
+/// may observe a count that lags individual flips by a few updates (at
+/// most `k` for `k` in-flight updates).
 #[derive(Debug)]
 pub struct AtomicBitArray {
     words: Vec<AtomicU64>,

@@ -1,4 +1,6 @@
-//! Lock-free packed register array for the concurrent FreeRS extension.
+//! Lock-free packed register array. No estimator uses it since the
+//! sharded sketch owns scalar engines; the benchmark still times it as a
+//! layer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -10,12 +10,14 @@
 //!   cost exactly 5 or 6 bits per cell, as the paper's memory accounting
 //!   assumes.
 //!
-//! [`AtomicBitArray`] and [`AtomicPackedArray`] are the lock-free variants
-//! used by the concurrent extensions in `freesketch::concurrent`.
+//! [`AtomicBitArray`] and [`AtomicPackedArray`] are lock-free variants.
+//! No estimator uses them any more (`freesketch` gets concurrency from
+//! mutex-owned shards); they are kept because the benchmark times them.
 //!
-//! The [`SlotStore`] / [`ConcurrentSlotStore`] traits make the arrays
-//! interchangeable behind one slot-update API — the storage seam the
-//! generic `freesketch` estimator core is built on.
+//! The [`SlotStore`] trait makes the arrays interchangeable behind one
+//! slot-update API — the storage seam the generic `freesketch` estimator
+//! core is built on; [`ConcurrentSlotStore`] is its `&self` twin for the
+//! atomic arrays.
 //!
 //! ```
 //! use bitpack::{BitArray, PackedArray};

@@ -5,10 +5,10 @@
 //! success credit the user `1/q(t)` — and differ only in what a slot
 //! stores: a **bit** (update = set, `q` = zero fraction) or a **rank
 //! register** (update = max, `q = Σ 2^{-R[j]} / M`). [`SlotStore`]
-//! captures that seam for the exclusive (`&mut self`) estimators and
-//! [`ConcurrentSlotStore`] for the lock-free (`&self`) ones, so the
-//! estimator core in `freesketch` is written once and instantiated four
-//! times:
+//! captures that seam, so the estimator core in `freesketch` is written
+//! once and instantiated for both stores. [`ConcurrentSlotStore`] is the
+//! `&self` twin for the atomic arrays, which no estimator uses any more
+//! (they are kept for the benchmark's layer timings):
 //!
 //! | store | slot holds | update | exclusive | concurrent |
 //! |-------|-----------|--------|-----------|------------|
